@@ -259,9 +259,9 @@ struct ParallelAb {
 struct WorkerRow {
     workers: usize,
     wall_ms: f64,
-    /// The run's `parallel_fallback` diagnostics (epoch histogram and
-    /// footprint-ledger cursor counters); deterministic across repeats,
-    /// so any timing run's copy is *the* copy.
+    /// The best (reported) run's `parallel_fallback` diagnostics: the
+    /// epoch histogram and cursor counters repeat exactly, the
+    /// host-clock `stage` times belong to that run alone.
     fallback: ParallelFallback,
 }
 
@@ -294,9 +294,13 @@ fn parallel_ab(workload: &dyn prism_workloads::Workload) -> ParallelAb {
             let wall = Instant::now();
             let report = m.run_jobs(&jobs);
             let ms = wall.elapsed().as_secs_f64() * 1e3;
-            best = best.min(ms);
-            fallback = report.parallel_fallback.clone();
             json = report.to_json();
+            // The host-clock stage breakdown must describe the run
+            // whose wall is reported, so keep the best run's copy.
+            if ms < best {
+                best = ms;
+                fallback = report.parallel_fallback;
+            }
         }
         (best, json, fallback)
     };
@@ -487,7 +491,7 @@ fn render_json(
         let s = &r.fallback.stage;
         o.push_str(&format!(
             "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"speedup\": {:.3}, \
-             \"epochs\": {}, \"epoch_groups\": [{}], \
+             \"epochs\": {}, \"epoch_groups\": [{}], \"stage_run\": \"best\", \
              \"stage_ns\": {{\"scan_ns\": {}, \"admit_ns\": {}, \"execute_ns\": {}, \
              \"merge_ns\": {}}}}}{}\n",
             r.workers,

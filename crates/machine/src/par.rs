@@ -18,7 +18,9 @@
 //! 2. Group batches by node and admit a maximal prefix of
 //!    pairwise-disjoint groups ([`admit_epoch`]). Rejected groups and
 //!    sync-truncated windows cap the epoch bound `B`, so everything
-//!    admitted runs strictly before anything deferred.
+//!    admitted runs strictly before anything deferred. An attempt that
+//!    provably cannot form an epoch stops scanning early
+//!    ([`attempt_doomed`]) with the verdict the full scan would reach.
 //! 3. Execute each admitted group inside a *shell machine* — the
 //!    group's nodes are moved in wholesale, every other slot holds a
 //!    cheap placeholder — on a persistent worker thread (inline on the
@@ -170,7 +172,7 @@ pub enum ParallelFallbackReason {
     InsufficientParallelism,
     /// The pick skipped the epoch attempt entirely: the loop is in
     /// exponential backoff after scan-based rejections. A failed
-    /// attempt costs a multi-lane window scan, so a conflict-heavy
+    /// attempt costs at least one window scan, so a conflict-heavy
     /// phase that rejects every pick would spend far more wall-clock
     /// scanning than the serial pick it falls back to. Backoff is a
     /// deterministic wall-clock heuristic only — epoch formation never
@@ -362,6 +364,67 @@ pub(crate) fn admit_epoch(
     (keep, b, hazard_hits)
 }
 
+/// Early rejection for an epoch attempt whose window scan is still
+/// running: `true` once no way of finishing the scan can form an
+/// epoch, so the remaining windows need not be scanned. `fp0` is group
+/// 0's footprint so far (`None` when the popped processor produced no
+/// group), `pending` the nodes of every formed group and of every
+/// popped processor not yet scanned, `b` the running bound.
+///
+/// Exact, not heuristic — it predicts [`admit_epoch`]'s verdict: with
+/// an empty hazard set, group 0 is always admitted first, every group's
+/// footprint contains its own node, footprints only grow and the bound
+/// only falls as the scan continues. So a missing group 0, a bound
+/// already short of `min_span`, or a group 0 that already covers every
+/// other group's node each make the final rejection certain, with
+/// reason `InsufficientParallelism`. A non-empty hazard set never
+/// rejects early: telling `RecoveryHazard` from
+/// `InsufficientParallelism` needs every group.
+pub(crate) fn attempt_doomed(
+    fp0: Option<NodeSet>,
+    pending: NodeSet,
+    b: u64,
+    clock0: u64,
+    min_span: u64,
+    hazard: NodeSet,
+) -> bool {
+    if !hazard.is_empty() {
+        return false;
+    }
+    let Some(fp0) = fp0 else {
+        return true;
+    };
+    b.saturating_sub(clock0) < min_span || pending.0 & !fp0.0 == 0
+}
+
+/// Buffers one `ParallelHeap` run reuses across epoch attempts, so a
+/// rejected attempt allocates nothing: the drained ready queue, the
+/// suffix node unions [`attempt_doomed`] consults, the per-node group
+/// index, the groups and leftovers of the attempt, and the pool of
+/// shell machines.
+struct EpochScratch {
+    popped: Vec<(Cycle, usize)>,
+    /// `rest[i]`: the nodes of `popped[i..]`.
+    rest: Vec<NodeSet>,
+    by_node: Vec<Option<usize>>,
+    groups: Vec<Group>,
+    leftovers: Vec<(Cycle, usize)>,
+    pool: Vec<Machine>,
+}
+
+impl EpochScratch {
+    fn new(nodes: usize) -> Self {
+        EpochScratch {
+            popped: Vec::new(),
+            rest: Vec::new(),
+            by_node: vec![None; nodes],
+            groups: Vec::new(),
+            leftovers: Vec::new(),
+            pool: Vec::new(),
+        }
+    }
+}
+
 impl Machine {
     /// The `ParallelHeap` run loop: identical to the heap loop, except
     /// that each pick first tries to form an epoch of conflict-free
@@ -414,9 +477,9 @@ impl Machine {
                 })
                 .collect();
             drop(done_tx);
-            let mut pool: Vec<Machine> = Vec::new();
+            let mut scratch = EpochScratch::new(self.cfg.nodes);
             // Exponential backoff on scan-based rejections: a failed
-            // epoch attempt costs a multi-lane window scan, so during a
+            // epoch attempt costs at least one window scan, so during a
             // conflict-heavy phase the loop skips `stride` picks before
             // scanning again (doubling up to `cfg.max_epoch_backoff`),
             // and re-arms the moment an epoch forms. Deterministic — it
@@ -433,7 +496,7 @@ impl Machine {
                     self.heap_step(trace, clock, flat);
                     continue;
                 }
-                match self.try_epoch(trace, clock, flat, &workers, &done_rx, &mut pool) {
+                match self.try_epoch(trace, clock, flat, &workers, &done_rx, &mut scratch) {
                     None => stride = 1,
                     Some(reason) => {
                         self.par_fallback.note(reason);
@@ -518,12 +581,15 @@ impl Machine {
         flat0: usize,
         workers: &[mpsc::Sender<Task>],
         done_rx: &mpsc::Receiver<Done>,
-        pool: &mut Vec<Machine>,
+        scratch: &mut EpochScratch,
     ) -> Option<ParallelFallbackReason> {
         let mut ledger = std::mem::take(&mut self.fp_ledger);
         ledger.apply(self.obs.drain_inval());
-        let r = self.try_epoch_inner(trace, clock0, flat0, workers, done_rx, pool, &mut ledger);
+        let r = self.try_epoch_inner(trace, clock0, flat0, workers, done_rx, scratch, &mut ledger);
         self.fp_ledger = ledger;
+        scratch.groups.clear();
+        scratch.leftovers.clear();
+        scratch.by_node.fill(None);
         r
     }
 
@@ -535,7 +601,7 @@ impl Machine {
         flat0: usize,
         workers: &[mpsc::Sender<Task>],
         done_rx: &mpsc::Receiver<Done>,
-        pool: &mut Vec<Machine>,
+        scratch: &mut EpochScratch,
         ledger: &mut FootprintLedger,
     ) -> Option<ParallelFallbackReason> {
         // Control events — fault injections, watchdog deadline sweeps,
@@ -558,11 +624,28 @@ impl Machine {
                 return Some(ParallelFallbackReason::LinkFaultWindowActive);
             }
         }
+        let EpochScratch {
+            popped,
+            rest,
+            by_node,
+            groups,
+            leftovers,
+            pool,
+        } = scratch;
         // Drain the ready queue; entries surface in (clock, proc) order.
-        let mut popped = vec![(clock0, flat0)];
+        popped.clear();
+        popped.push((clock0, flat0));
         while let Some((c, f)) = self.sched.pop_proc() {
             popped.push((c, f));
         }
+        rest.clear();
+        rest.resize(popped.len() + 1, NodeSet::EMPTY);
+        for i in (0..popped.len()).rev() {
+            let (n, _) = self.split_flat(popped[i].1);
+            rest[i] = rest[i + 1];
+            rest[i].insert(NodeId(n as u16));
+        }
+        let hazard = self.hazard_nodes();
         // Scan windows and form per-node groups in pop order. A window
         // truncated by a sync operation caps the bound at the sync's
         // earliest possible start: sync operations mutate machine-wide
@@ -578,18 +661,43 @@ impl Machine {
         // leftovers requeue at their reached clock); they can only
         // inflate a footprint, never shrink one, so admission stays
         // sound.
+        //
+        // Before each further scan, `attempt_doomed` checks whether the
+        // attempt can still form an epoch; once it cannot, the rest of
+        // the scan is skipped and the attempt rejected with the exact
+        // reason the full scan would have reached.
         let mut b = b_ctl;
-        let mut groups: Vec<Group> = Vec::new();
-        let mut by_node: HashMap<usize, usize> = HashMap::new();
-        let mut leftovers: Vec<(Cycle, usize)> = Vec::new();
+        // Nodes of every formed group (group 0's own node is in its
+        // footprint, so counting it among the candidates is harmless).
+        let mut formed = NodeSet::EMPTY;
+        let flat0_group = |groups: &[Group]| {
+            groups
+                .first()
+                .filter(|g| g.members[0].flat == flat0)
+                .map(|g| g.footprint)
+        };
         let t_scan = self.obs.stage_enabled().then(std::time::Instant::now);
-        for &(c, f) in &popped {
+        let mut doomed = false;
+        for (i, &(c, f)) in popped.iter().enumerate() {
             // Already at or past the running bound: the processor
             // cannot start anything inside this epoch, so skip its scan
             // entirely (the cursor stays warm for the next attempt).
             if c.as_u64() >= b {
                 leftovers.push((c, f));
                 continue;
+            }
+            if i > 0
+                && attempt_doomed(
+                    flat0_group(groups),
+                    NodeSet(formed.0 | rest[i].0),
+                    b,
+                    clock0.as_u64(),
+                    self.cfg.min_epoch_span,
+                    hazard,
+                )
+            {
+                doomed = true;
+                break;
             }
             let (window, fp, trunc_at) = self.scan_window(trace, f, c, ledger);
             if let Some(at) = trunc_at {
@@ -600,7 +708,8 @@ impl Machine {
                 continue;
             }
             let (n, _) = self.split_flat(f);
-            let gi = *by_node.entry(n).or_insert_with(|| {
+            let gi = *by_node[n].get_or_insert_with(|| {
+                formed.insert(NodeId(n as u16));
                 groups.push(Group {
                     members: Vec::new(),
                     footprint: NodeSet::EMPTY,
@@ -618,9 +727,15 @@ impl Machine {
         if let Some(t) = t_scan {
             self.obs.stage.scan_ns += t.elapsed().as_nanos() as u64;
         }
-        let flat0_grouped = groups.first().is_some_and(|g| g.members[0].flat == flat0);
+        if doomed {
+            for &(c, f) in popped.iter().skip(1) {
+                self.sched.wake(f, c);
+            }
+            return Some(ParallelFallbackReason::InsufficientParallelism);
+        }
+        let flat0_grouped = flat0_group(groups).is_some();
         let t_admit = self.obs.stage_enabled().then(std::time::Instant::now);
-        let (keep, b, hazard_hits) = admit_epoch(&groups, b, self.hazard_nodes());
+        let (keep, b, hazard_hits) = admit_epoch(groups, b, hazard);
         let admitted = keep.iter().filter(|&&k| k).count();
         if let Some(t) = t_admit {
             self.obs.stage.admit_ns += t.elapsed().as_nanos() as u64;
@@ -645,7 +760,7 @@ impl Machine {
         }
         self.par_fallback.note_epoch(admitted);
         let mut accepted: Vec<Group> = Vec::new();
-        for (g, k) in groups.into_iter().zip(keep) {
+        for (g, k) in groups.drain(..).zip(keep) {
             if k {
                 accepted.push(g);
             } else {
@@ -662,7 +777,7 @@ impl Machine {
             done_rx,
             pool,
         );
-        for (c, f) in leftovers {
+        for &(c, f) in leftovers.iter() {
             self.sched.wake(f, c);
         }
         None
@@ -1084,6 +1199,92 @@ mod tests {
         // Group 1 is a footprint conflict, group 2 a hazard hit.
         assert_eq!(keep, vec![true, false, false]);
         assert_eq!(hazard_hits, 1);
+    }
+
+    #[test]
+    fn doomed_when_group_zero_covers_every_candidate_node() {
+        // Group 0 (node 0) references a page homed on node 1 and one
+        // shared with nodes 2 and 3: any later group's own node is in
+        // its footprint, so no second group can be admitted.
+        let fp0 = nodeset(&[0, 1, 2, 3]);
+        assert!(attempt_doomed(
+            Some(fp0),
+            nodeset(&[1, 2, 3]),
+            u64::MAX,
+            0,
+            1024,
+            NodeSet::EMPTY
+        ));
+    }
+
+    #[test]
+    fn continues_while_one_candidate_node_is_uncovered() {
+        let fp0 = nodeset(&[0, 1, 2]);
+        assert!(!attempt_doomed(
+            Some(fp0),
+            nodeset(&[1, 3]),
+            u64::MAX,
+            0,
+            1024,
+            NodeSet::EMPTY
+        ));
+        // The same group with node 3 covered is doomed.
+        assert!(attempt_doomed(
+            Some(nodeset(&[0, 1, 2, 3])),
+            nodeset(&[1, 3]),
+            u64::MAX,
+            0,
+            1024,
+            NodeSet::EMPTY
+        ));
+    }
+
+    #[test]
+    fn doomed_when_the_bound_collapses_below_min_span() {
+        let (fp0, pending) = (nodeset(&[0]), nodeset(&[1, 2]));
+        assert!(!attempt_doomed(
+            Some(fp0),
+            pending,
+            5_000 + 1024,
+            5_000,
+            1024,
+            NodeSet::EMPTY
+        ));
+        assert!(attempt_doomed(
+            Some(fp0),
+            pending,
+            5_000 + 1023,
+            5_000,
+            1024,
+            NodeSet::EMPTY
+        ));
+    }
+
+    #[test]
+    fn doomed_when_the_popped_processor_formed_no_group() {
+        assert!(attempt_doomed(
+            None,
+            nodeset(&[1, 2]),
+            u64::MAX,
+            0,
+            1024,
+            NodeSet::EMPTY
+        ));
+    }
+
+    #[test]
+    fn never_doomed_under_a_hazard() {
+        // Each case above that is doomed without a hazard keeps
+        // scanning with one: the RecoveryHazard attribution needs every
+        // group.
+        let hazard = nodeset(&[3]);
+        for (fp0, b) in [
+            (Some(nodeset(&[0, 1, 2, 3])), u64::MAX),
+            (Some(nodeset(&[0])), 1023),
+            (None, u64::MAX),
+        ] {
+            assert!(!attempt_doomed(fp0, nodeset(&[1, 2]), b, 0, 1024, hazard));
+        }
     }
 
     #[test]

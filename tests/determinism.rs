@@ -355,6 +355,51 @@ fn parallel_epochs_form_under_bounded_faults() {
     }
 }
 
+/// A trace shared by every processor forms no epoch: every attempt is
+/// doomed. The executor must reject such an attempt as soon as group
+/// 0's footprint covers every other candidate node, without scanning
+/// the remaining windows — and must reach exactly the epoch decisions
+/// of the full scan. The pinned counts were measured with the
+/// scan-everything executor; the work bound (cursor hits + slides +
+/// misses per scanning attempt) is one that executor fails at ~10.5
+/// window scans per attempt.
+#[test]
+fn parallel_heap_rejects_doomed_attempts_after_one_scan() {
+    use prism::machine::ParallelFallbackReason;
+    let cfg = |scheduler: SchedulerKind| {
+        let mut cfg = MachineConfig::builder().nodes(4).procs_per_node(4).build();
+        cfg.scheduler = scheduler;
+        cfg.worker_threads = 2;
+        cfg
+    };
+    let trace = app(AppId::Barnes, Scale::Small).generate(16);
+    let serial = Machine::new(cfg(SchedulerKind::Heap)).run(&trace);
+    let par = Machine::new(cfg(SchedulerKind::ParallelHeap)).run(&trace);
+    assert_eq!(
+        par.to_json(),
+        serial.to_json(),
+        "ParallelHeap diverged from the serial heap on a shared trace"
+    );
+    let f = &par.parallel_fallback;
+    let counts: Vec<u64> = ParallelFallbackReason::ALL
+        .iter()
+        .map(|&r| f.count(r))
+        .collect();
+    assert_eq!(
+        (f.epochs, f.serial_picks, f.epoch_groups.as_slice()),
+        (0, 24_981, &[][..]),
+        "epoch decisions moved"
+    );
+    assert_eq!(counts, [0, 0, 0, 0, 57, 24_924], "fallback reasons moved");
+    let attempts = f.serial_picks + f.epochs - f.count(ParallelFallbackReason::EpochBackoff);
+    let scans = f.cursor_hits + f.cursor_slides + f.cursor_misses;
+    assert!(
+        scans <= 2 * attempts,
+        "{scans} window scans over {attempts} epoch attempts: doomed \
+         attempts must stop after group 0's scan"
+    );
+}
+
 /// Shared scaffolding for the newly epoch-eligible feature configs:
 /// one job spanning two nodes (it supplies the cross-node traffic the
 /// feature under test needs) plus two single-node jobs (they supply
