@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use prism_core::machine::machine::Machine;
 use prism_core::machine::{ParallelFallback, ParallelFallbackReason, SchedulerKind};
-use prism_core::{DirectoryKind, MachineConfig, PolicyKind, Simulation};
+use prism_core::{MachineConfig, PolicyKind, Simulation};
 use prism_workloads::{app, AppId, Scale};
 
 const JSON_FILE: &str = "BENCH_scaling.json";
@@ -149,31 +149,6 @@ fn main() {
         println!("  note: single-core host — thread speedup not measurable here");
     }
 
-    let dirs = directory_ab(workload.as_ref());
-    println!(
-        "\ndirectory-backend A/B at {} nodes / {} procs (best of {} runs, identical reports):",
-        AB_NODES,
-        AB_NODES * 4,
-        AB_TIMING_RUNS
-    );
-    for r in &dirs {
-        let ctr = |name: &str| {
-            r.dir_counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, v)| *v)
-        };
-        println!(
-            "  {:<15}: {:>8.1} ms   {} appends ({} combined), {} replays, {} compactions",
-            r.label,
-            r.wall_ms,
-            ctr("dir-log-appends"),
-            ctr("dir-log-combined-appends"),
-            ctr("dir-log-replays"),
-            ctr("dir-log-compactions"),
-        );
-    }
-
     let elig = eligibility_ab(workload.as_ref());
     println!("\nfootprint-ledger eligibility (serial vs ParallelHeap 2w, identical reports):");
     for r in &elig {
@@ -190,65 +165,8 @@ fn main() {
 
     prism_bench::write_bench_json(
         JSON_FILE,
-        &render_json(id, &rows, heap_ms, linear_ms, &par, &dirs, &elig),
+        &render_json(id, &rows, heap_ms, linear_ms, &par, &elig),
     );
-}
-
-struct DirRow {
-    label: &'static str,
-    wall_ms: f64,
-    /// The run's `dir_counters` block — deterministic across repeats,
-    /// so any timing run's copy is *the* copy.
-    dir_counters: Vec<(String, u64)>,
-}
-
-/// Times the full-map directory against the node-replicated log backend
-/// on the same trace and config. The two must produce byte-identical
-/// `RunReport`s (the determinism suite locks this; the bench re-asserts
-/// it in-process), so the wall-clock gap is pure backend overhead and
-/// the log counters show how much append/replay/compaction traffic the
-/// workload generated.
-fn directory_ab(workload: &dyn prism_workloads::Workload) -> Vec<DirRow> {
-    let cfg = |kind: DirectoryKind| {
-        let mut c = MachineConfig::builder()
-            .nodes(AB_NODES)
-            .procs_per_node(4)
-            .build();
-        c.directory = kind;
-        c
-    };
-    let trace = workload.generate(AB_NODES * 4);
-    let mut baseline_json: Option<String> = None;
-    [DirectoryKind::FullMap, DirectoryKind::LogReplicated]
-        .into_iter()
-        .map(|kind| {
-            let mut best = f64::INFINITY;
-            let mut dir_counters = Vec::new();
-            for _ in 0..AB_TIMING_RUNS {
-                let mut m = Machine::new(cfg(kind));
-                let wall = Instant::now();
-                let report = m.run(&trace);
-                let ms = wall.elapsed().as_secs_f64() * 1e3;
-                best = best.min(ms);
-                let json = report.to_json();
-                match &baseline_json {
-                    None => baseline_json = Some(json),
-                    Some(b) => assert_eq!(
-                        &json,
-                        b,
-                        "{} directory diverged from the full-map baseline",
-                        kind.label()
-                    ),
-                }
-                dir_counters = report.dir_counters;
-            }
-            DirRow {
-                label: kind.label(),
-                wall_ms: best,
-                dir_counters,
-            }
-        })
-        .collect()
 }
 
 struct ParallelAb {
@@ -444,7 +362,6 @@ fn render_json(
     heap_ms: f64,
     linear_ms: f64,
     par: &ParallelAb,
-    dirs: &[DirRow],
     elig: &[EligibilityRow],
 ) -> String {
     let mut o = String::from("{\n");
@@ -520,27 +437,6 @@ fn render_json(
         cur.cursor_hit_rate()
             .map_or("null".to_string(), |h| format!("{h:.4}")),
     ));
-    o.push_str(&format!(
-        "  \"dir_ab\": {{\"nodes\": {}, \"procs\": {}, \"reports_identical\": true, \
-         \"backends\": [\n",
-        AB_NODES,
-        AB_NODES * 4,
-    ));
-    for (i, r) in dirs.iter().enumerate() {
-        let counters: Vec<String> = r
-            .dir_counters
-            .iter()
-            .map(|(name, v)| format!("\"{name}\": {v}"))
-            .collect();
-        o.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"wall_ms\": {:.3}, {}}}{}\n",
-            r.label,
-            r.wall_ms,
-            counters.join(", "),
-            if i + 1 == dirs.len() { "" } else { "," }
-        ));
-    }
-    o.push_str("  ]},\n");
     o.push_str("  \"parallel_eligibility\": [\n");
     for (i, r) in elig.iter().enumerate() {
         o.push_str(&format!(

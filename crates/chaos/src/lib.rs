@@ -24,11 +24,6 @@
 //!   exactly one of the free list, the client page cache, and the
 //!   directory-home set.
 //!
-//! Cases also flip the home-node directory backend (full-map vs
-//! log-replicated), so the differential oracle holds the two backends
-//! byte-equivalent across the whole searched space, not just the
-//! determinism suite's fixtures.
-//!
 //! On violation, [`shrink::shrink`] greedily minimizes the case while
 //! the oracle keeps firing, and [`repro::Repro`] serializes a
 //! self-contained artifact that [`repro::replay`] re-executes
@@ -111,8 +106,6 @@ pub struct CampaignOutcome {
     pub violations: Vec<CampaignViolation>,
     /// Cases per page-policy name (coverage accounting).
     pub policy_coverage: BTreeMap<String, u64>,
-    /// Cases per directory-backend name (coverage accounting).
-    pub directory_coverage: BTreeMap<String, u64>,
     /// Completed runs per scheduler name.
     pub scheduler_runs: BTreeMap<String, u64>,
     /// Runs that ended in a panic or hang (also surface as liveness
@@ -152,7 +145,7 @@ impl CampaignOutcome {
         format!(
             "{{\"bench\":\"chaos\",\"seed\":{seed},\"cases\":{},\"runs\":{},\
              \"failed_runs\":{},\"violations\":{},\"violation_count\":{},\
-             \"policy_coverage\":{},\"directory_coverage\":{},\
+             \"policy_coverage\":{},\
              \"scheduler_runs\":{},\"wall_ms\":{}}}",
             self.cases,
             self.runs,
@@ -160,7 +153,6 @@ impl CampaignOutcome {
             violations,
             self.violations.len(),
             map_json(&self.policy_coverage),
-            map_json(&self.directory_coverage),
             map_json(&self.scheduler_runs),
             self.wall.as_millis(),
         )
@@ -181,10 +173,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
         *outcome
             .policy_coverage
             .entry(gen::policy_name(case.policy).to_string())
-            .or_insert(0) += 1;
-        *outcome
-            .directory_coverage
-            .entry(gen::directory_name(case.directory).to_string())
             .or_insert(0) += 1;
         let case_outcome = run_case(&case, cfg.deadline);
         outcome.cases += 1;
@@ -252,6 +240,5 @@ mod tests {
             Some(2 * SCHEDULES.len() as u64)
         );
         assert!(v.get("policy_coverage").is_some());
-        assert!(v.get("directory_coverage").is_some());
     }
 }

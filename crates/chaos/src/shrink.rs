@@ -15,7 +15,6 @@
 
 use std::time::Duration;
 
-use prism_machine::config::DirectoryKind;
 use prism_machine::faults::RetryPolicy;
 
 use crate::gen::{AuditModeSpec, CaseSpec};
@@ -155,11 +154,6 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
         c.page_cache_capacity = None;
         push(c);
     }
-    if case.directory != DirectoryKind::FullMap {
-        let mut c = case.clone();
-        c.directory = DirectoryKind::FullMap;
-        push(c);
-    }
     if case.retry != RetryPolicy::default() {
         let mut c = case.clone();
         c.retry = RetryPolicy::default();
@@ -215,8 +209,6 @@ mod tests {
                 || (case.audit_interval.is_some() && c.audit_interval.is_none())
                 || (case.audit_mode != AuditModeSpec::Full && c.audit_mode == AuditModeSpec::Full)
                 || (case.page_cache_capacity.is_some() && c.page_cache_capacity.is_none())
-                || (case.directory != DirectoryKind::FullMap
-                    && c.directory == DirectoryKind::FullMap)
                 || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default())
                 || c.rewatermark_tolerance != case.rewatermark_tolerance
                 || c.min_epoch_span != case.min_epoch_span

@@ -3,7 +3,6 @@
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
 use prism_mem::addr::Geometry;
-pub use prism_mem::directory::DirectoryKind;
 use prism_protocol::latency::LatencyModel;
 
 use crate::faults::{JournalPolicy, RetryPolicy};
@@ -113,10 +112,6 @@ pub struct MachineConfig {
     pub policy: PagePolicy,
     /// Component latencies (Table 1 calibration by default).
     pub latency: LatencyModel,
-    /// Directory backend home nodes use (full map or node-replicated
-    /// operation log; behavior is byte-identical, the determinism suite
-    /// locks it).
-    pub directory: DirectoryKind,
     /// Directory-cache entries per node.
     pub dir_cache_entries: usize,
     /// Directory-cache associativity.
@@ -264,7 +259,6 @@ impl Default for MachineConfig {
             page_cache_capacity: None,
             policy: PagePolicy::Scoma,
             latency: LatencyModel::default(),
-            directory: DirectoryKind::FullMap,
             dir_cache_entries: 8192,
             dir_cache_assoc: 8,
             home_status_flag: true,
@@ -328,8 +322,6 @@ impl MachineConfigBuilder {
         policy: PagePolicy);
     setter!(/// Sets the latency model.
         latency: LatencyModel);
-    setter!(/// Selects the directory backend for home nodes.
-        directory: DirectoryKind);
     setter!(/// Sets directory-cache entries.
         dir_cache_entries: usize);
     setter!(/// Sets directory-cache associativity.

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use prism_kernel::migration::PageTraffic;
 use prism_kernel::policy::ControllerQuery;
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx};
-use prism_mem::directory::{DirCache, DirStore, DirectoryKind};
+use prism_mem::directory::{DirCache, Directory};
 use prism_mem::pit::Pit;
 use prism_mem::tags::{LineTag, TagArray};
 
@@ -26,9 +26,8 @@ pub struct Controller {
     /// local processors so it knows when to consult the home. Absent
     /// entries mean Invalid.
     lanuma: HashMap<(u32, u16), LineTag>,
-    /// The directory for pages homed at this node (full-map or
-    /// log-replicated, per [`DirectoryKind`]).
-    pub dir: DirStore,
+    /// The full-map directory for pages homed at this node.
+    pub dir: Directory,
     /// The 8K-entry directory cache.
     pub dir_cache: DirCache,
     /// Per-page coherence-traffic counters (migration hardware counters).
@@ -47,14 +46,12 @@ impl Controller {
         lines_per_page: usize,
         dir_cache_entries: usize,
         dir_cache_assoc: usize,
-        directory: DirectoryKind,
-        nodes: usize,
     ) -> Controller {
         Controller {
             pit: Pit::new(real_frames),
             tags: TagArray::new(real_frames, lines_per_page),
             lanuma: HashMap::new(),
-            dir: DirStore::new(directory, nodes),
+            dir: Directory::new(),
             dir_cache: DirCache::new(dir_cache_entries, dir_cache_assoc),
             traffic: HashMap::new(),
             transit_since: HashMap::new(),
@@ -146,7 +143,7 @@ mod tests {
 
     #[test]
     fn lanuma_state_lifecycle() {
-        let mut c = Controller::new(8, 64, 64, 8, DirectoryKind::FullMap, 2);
+        let mut c = Controller::new(8, 64, 64, 8);
         let f = FrameNo::imaginary(3);
         assert_eq!(c.lanuma_tag(f, LineIdx(0)), LineTag::Invalid);
         c.set_lanuma_tag(f, LineIdx(0), LineTag::Shared);
@@ -162,7 +159,7 @@ mod tests {
 
     #[test]
     fn controller_query_reads_tags() {
-        let mut c = Controller::new(8, 4, 64, 8, DirectoryKind::FullMap, 2);
+        let mut c = Controller::new(8, 4, 64, 8);
         c.tags.allocate(FrameNo(2), LineTag::Invalid);
         c.tags.set(FrameNo(2), LineIdx(0), LineTag::Exclusive);
         assert_eq!(c.invalid_count(FrameNo(2)), 3);
@@ -173,7 +170,7 @@ mod tests {
 
     #[test]
     fn transit_bookkeeping_lifecycle() {
-        let mut c = Controller::new(8, 4, 64, 8, DirectoryKind::FullMap, 2);
+        let mut c = Controller::new(8, 4, 64, 8);
         assert_eq!(c.transit_pending(), 0);
         c.note_transit(FrameNo(2), LineIdx(1), 100);
         c.note_transit(FrameNo(1), LineIdx(3), 50);
@@ -193,7 +190,7 @@ mod tests {
     #[test]
     fn traffic_counters_accumulate() {
         use prism_mem::addr::{Gsid, NodeId};
-        let mut c = Controller::new(4, 4, 64, 8, DirectoryKind::FullMap, 2);
+        let mut c = Controller::new(4, 4, 64, 8);
         let gp = GlobalPage::new(Gsid(0), 1);
         c.traffic_mut(gp).record(NodeId(3));
         c.traffic_mut(gp).record(NodeId(3));

@@ -81,8 +81,6 @@
 mod access;
 pub mod config;
 mod controller;
-#[cfg(test)]
-mod dir_log_tests;
 mod failure;
 pub mod faults;
 mod fp_ledger;
@@ -102,7 +100,7 @@ pub mod shadow;
 pub mod txn;
 mod watchdog;
 
-pub use config::{AuditMode, DirectoryKind, MachineConfig, SchedulerKind};
+pub use config::{AuditMode, MachineConfig, SchedulerKind};
 pub use failure::NoPitBinding;
 pub use faults::{FaultPlan, FaultPlanError, FaultReport, JournalPolicy, RetryPolicy};
 pub use machine::Machine;

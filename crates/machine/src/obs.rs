@@ -72,23 +72,10 @@ pub(crate) enum Ctr {
     /// Translations served from the per-processor run memo instead of a
     /// fresh TLB/kernel lookup (trace-ingest batching hit-rate).
     BatchedLookups,
-    /// Directory-cache hits, summed over nodes at finalize.
-    DirCacheHits,
-    /// Directory-cache misses, summed over nodes at finalize.
-    DirCacheMisses,
-    /// Directory-log operations appended (log backend only).
-    DirLogAppends,
-    /// Appends flat-combined with the previous append to the same page.
-    DirLogCombined,
-    /// Log entries replayed into lagging per-node replicas — the
-    /// replica-lag measure the reconciliation test checks.
-    DirLogReplays,
-    /// Log compactions (prefix folds into the base image).
-    DirLogCompactions,
 }
 
 impl Ctr {
-    const NAMES: [(Ctr, &'static str); 20] = [
+    const NAMES: [(Ctr, &'static str); 14] = [
         (Ctr::TotalRefs, "total-refs"),
         (Ctr::RemoteMisses, "remote-misses"),
         (Ctr::RemoteUpgrades, "remote-upgrades"),
@@ -103,18 +90,7 @@ impl Ctr {
         (Ctr::FirewallRejections, "firewall-rejections"),
         (Ctr::DeadProcs, "dead-procs"),
         (Ctr::BatchedLookups, "batched-lookups"),
-        (Ctr::DirCacheHits, "dir-cache-hits"),
-        (Ctr::DirCacheMisses, "dir-cache-misses"),
-        (Ctr::DirLogAppends, "dir-log-appends"),
-        (Ctr::DirLogCombined, "dir-log-combined-appends"),
-        (Ctr::DirLogReplays, "dir-log-replays"),
-        (Ctr::DirLogCompactions, "dir-log-compactions"),
     ];
-
-    /// The counter's stable report name.
-    pub(crate) fn name(self) -> &'static str {
-        Ctr::NAMES[self as usize].1
-    }
 }
 
 /// A structural event retained on the bus's ring.

@@ -2,7 +2,6 @@
 
 use prism_kernel::kernel::{EvictOrder, FaultClass};
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId, VirtAddr};
-use prism_mem::directory::DirOp;
 use prism_mem::mode::FrameMode;
 use prism_mem::pit::PitEntry;
 use prism_mem::tags::LineTag;
@@ -112,17 +111,14 @@ impl Machine {
                     }
                     {
                         let reader = NodeId(n as u16);
-                        let fresh = !self.nodes[home]
+                        let clients = &mut self.nodes[home]
                             .controller
                             .dir
-                            .read(reader, gp)
+                            .page_mut(gp)
                             .expect("home page initialized")
-                            .clients
-                            .contains(reader);
-                        self.nodes[home]
-                            .controller
-                            .dir
-                            .apply(gp, DirOp::AddClient(reader));
+                            .clients;
+                        let fresh = !clients.contains(reader);
+                        clients.insert(reader);
                         if fresh {
                             // The page's destination set grew: remote
                             // transactions can now fan out to this
@@ -419,40 +415,22 @@ impl Machine {
             let lid_base =
                 evict.vpage << (self.cfg.geometry.page_log2() - self.cfg.geometry.line_log2());
             let reader = NodeId(n as u16);
-            let mut home_frame = None;
-            let mut ops = Vec::new();
-            if let Some(pd) = self.nodes[home].controller.dir.read(reader, gp) {
-                home_frame = Some(pd.home_frame);
-                // Each line's transition depends only on that line's
-                // current state, so snapshotting the ops before applying
-                // them is equivalent to interleaved read-modify-write.
+            let ctl = &mut self.nodes[home].controller;
+            if let Some(pd) = ctl.dir.page_mut(gp) {
                 for &l in &dirty_lines {
                     let cur = pd.line(l);
-                    ops.push(DirOp::SetLine(
-                        l,
-                        prism_protocol::dirproto::apply_writeback(cur, reader),
-                    ));
-                }
-                for &l in &shared_lines {
-                    let cur = pd.line(l);
-                    ops.push(DirOp::SetLine(
-                        l,
-                        prism_protocol::dirproto::apply_replacement_hint(cur, reader),
-                    ));
-                }
-                ops.push(DirOp::ClearClientFrame(reader));
-            }
-            for op in ops {
-                self.nodes[home].controller.dir.apply(gp, op);
-            }
-            if let Some(hf) = home_frame {
-                for &l in &dirty_lines {
+                    *pd.line_mut(l) = prism_protocol::dirproto::apply_writeback(cur, reader);
                     // Home memory is current again for flushed lines.
-                    self.nodes[home].controller.tags.set(hf, l, LineTag::Shared);
+                    ctl.tags.set(pd.home_frame, l, LineTag::Shared);
                     if let Some(sh) = self.shadow.as_mut() {
                         sh.copy_node_to_node(n as u16, home as u16, lid_base + l.0 as u64);
                     }
                 }
+                for &l in &shared_lines {
+                    let cur = pd.line(l);
+                    *pd.line_mut(l) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
+                }
+                pd.client_frames.remove(&reader);
             }
             t = self.send(home, n, MsgKind::PageOutAck, t);
         }

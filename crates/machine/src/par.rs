@@ -992,14 +992,7 @@ impl Machine {
                     memory: Resource::new("memory"),
                     ni: Resource::new("ni"),
                     engine: Resource::new("engine"),
-                    controller: Controller::new(
-                        1,
-                        self.cfg.geometry.lines_per_page(),
-                        1,
-                        1,
-                        self.cfg.directory,
-                        self.cfg.nodes,
-                    ),
+                    controller: Controller::new(1, self.cfg.geometry.lines_per_page(), 1, 1),
                     kernel,
                     failed: false,
                 }

@@ -144,25 +144,7 @@ pub struct RunReport {
     /// scheduler-invariant golden artifact, and these counters are
     /// scheduler-dependent by construction.
     pub parallel_fallback: ParallelFallback,
-    /// Directory-backend diagnostics as named [`Ctr`] entries:
-    /// machine-wide directory-cache hits/misses plus the log backend's
-    /// append / combined-append / replay / compaction counters. Excluded
-    /// from [`RunReport::to_json`] like `parallel_fallback`: the log
-    /// counters are zero under `FullMap` and nonzero under
-    /// `LogReplicated`, so they would break the backend invariance the
-    /// golden artifact asserts.
-    pub dir_counters: Vec<(String, u64)>,
 }
-
-/// The counters surfaced in the debug report's `dir_counters` block.
-const DIR_CTRS: [Ctr; 6] = [
-    Ctr::DirCacheHits,
-    Ctr::DirCacheMisses,
-    Ctr::DirLogAppends,
-    Ctr::DirLogCombined,
-    Ctr::DirLogReplays,
-    Ctr::DirLogCompactions,
-];
 
 impl Machine {
     /// Snapshots the event bus and per-node state into a [`RunReport`].
@@ -187,27 +169,6 @@ impl Machine {
         // are checked.
         if self.cfg.audit_interval.is_some() {
             self.audit_sweep(exec);
-        }
-        // Fold per-node directory-cache and operation-log counters onto
-        // the bus. The adds are delta-based so a second finalize of the
-        // same machine does not double-count.
-        let (mut dch, mut dcm) = (0u64, 0u64);
-        let mut dls = prism_mem::dir_log::DirLogStats::default();
-        for node in &self.nodes {
-            dch += node.controller.dir_cache.hits();
-            dcm += node.controller.dir_cache.misses();
-            dls.absorb(&node.controller.dir.log_stats());
-        }
-        for (c, total) in [
-            (Ctr::DirCacheHits, dch),
-            (Ctr::DirCacheMisses, dcm),
-            (Ctr::DirLogAppends, dls.appends),
-            (Ctr::DirLogCombined, dls.combined_appends),
-            (Ctr::DirLogReplays, dls.replayed),
-            (Ctr::DirLogCompactions, dls.compactions),
-        ] {
-            let seen = self.obs.get(c);
-            self.obs.add(c, total.saturating_sub(seen));
         }
         let mut per_node = Vec::with_capacity(self.nodes.len());
         let (mut frames, mut util_num) = (0u64, 0.0f64);
@@ -279,10 +240,6 @@ impl Machine {
             audit: self.obs.findings.clone(),
             audit_sweeps: self.obs.sweeps,
             parallel_fallback: self.par_fallback.clone(),
-            dir_counters: DIR_CTRS
-                .iter()
-                .map(|&c| (c.name().to_string(), self.obs.get(c)))
-                .collect(),
         }
     }
 }
@@ -396,13 +353,6 @@ impl RunReport {
                 "parallel_fallback",
                 &parallel_fallback_json(&self.parallel_fallback),
             );
-            let mut d = String::from("{");
-            for (name, v) in &self.dir_counters {
-                field_u64(&mut d, name, *v);
-            }
-            d.pop();
-            d.push('}');
-            field_raw(&mut o, "dir_counters", &d);
         }
         o.pop(); // trailing comma
         o.push('}');

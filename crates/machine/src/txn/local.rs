@@ -348,28 +348,14 @@ impl Machine {
         let lat = self.cfg.latency;
         self.nodes[home].memory.acquire(t, Cycle(lat.mem_access));
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
-            .controller
-            .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
-        if let Some((cur, home_frame)) = snap {
-            let was_owned =
-                matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            self.nodes[home].controller.dir.apply(
-                gpage,
-                prism_mem::directory::DirOp::SetLine(
-                    line,
-                    prism_protocol::dirproto::apply_writeback(cur, reader),
-                ),
-            );
-            if was_owned {
+        let ctl = &mut self.nodes[home].controller;
+        if let Some(pd) = ctl.dir.page_mut(gpage) {
+            let cur = pd.line(line);
+            *pd.line_mut(line) = prism_protocol::dirproto::apply_writeback(cur, reader);
+            if matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n) {
                 // Home memory is valid again.
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
+                ctl.tags
+                    .set(pd.home_frame, line, prism_mem::tags::LineTag::Shared);
             }
         }
         if let Some(sh) = self.shadow.as_mut() {
@@ -411,27 +397,14 @@ impl Machine {
         let lat = self.cfg.latency;
         self.nodes[home].memory.acquire(t, Cycle(lat.mem_occupancy));
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
-            .controller
-            .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
-        if let Some((cur, home_frame)) = snap {
-            if matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n) {
-                self.nodes[home].controller.dir.apply(
-                    gpage,
-                    prism_mem::directory::DirOp::SetLine(
-                        line,
-                        prism_mem::directory::LineDir::Shared(prism_mem::addr::NodeSet::single(
-                            reader,
-                        )),
-                    ),
-                );
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
+        let ctl = &mut self.nodes[home].controller;
+        if let Some(pd) = ctl.dir.page_mut(gpage) {
+            if matches!(pd.line(line), prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n)
+            {
+                *pd.line_mut(line) =
+                    prism_mem::directory::LineDir::Shared(prism_mem::addr::NodeSet::single(reader));
+                ctl.tags
+                    .set(pd.home_frame, line, prism_mem::tags::LineTag::Shared);
             }
         }
         if let Some(sh) = self.shadow.as_mut() {
@@ -459,29 +432,15 @@ impl Machine {
         }
         self.post_send(n, home, MsgKind::Writeback, t);
         let reader = prism_mem::addr::NodeId(n as u16);
-        let snap = self.nodes[home]
-            .controller
-            .dir
-            .read(reader, gpage)
-            .map(|pd| (pd.line(line), pd.home_frame));
-        if let Some((cur, home_frame)) = snap {
-            let was_owned =
-                matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n);
-            self.nodes[home].controller.dir.apply(
-                gpage,
-                prism_mem::directory::DirOp::SetLine(
-                    line,
-                    prism_protocol::dirproto::apply_replacement_hint(cur, reader),
-                ),
-            );
-            if was_owned {
+        let ctl = &mut self.nodes[home].controller;
+        if let Some(pd) = ctl.dir.page_mut(gpage) {
+            let cur = pd.line(line);
+            *pd.line_mut(line) = prism_protocol::dirproto::apply_replacement_hint(cur, reader);
+            if matches!(cur, prism_mem::directory::LineDir::Owned(o) if o.0 as usize == n) {
                 // The node's copy was clean-exclusive, so home memory was
                 // already current; mark the home tag valid again.
-                self.nodes[home].controller.tags.set(
-                    home_frame,
-                    line,
-                    prism_mem::tags::LineTag::Shared,
-                );
+                ctl.tags
+                    .set(pd.home_frame, line, prism_mem::tags::LineTag::Shared);
             }
         }
     }

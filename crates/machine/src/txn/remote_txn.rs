@@ -16,7 +16,7 @@
 
 use prism_mem::addr::{FrameNo, GlobalPage, LineIdx, NodeId};
 use prism_mem::cache::LineState;
-use prism_mem::directory::{DirOp, LineDir};
+use prism_mem::directory::LineDir;
 use prism_mem::tags::LineTag;
 use prism_protocol::dirproto::{transition, DataSource, DirOutcome, ReqKind};
 use prism_protocol::firewall;
@@ -342,14 +342,11 @@ impl RemoteTxn {
             }
         }
 
-        // Protocol decisions read through the requester's replica (under
-        // the log backend this is the lazily-replayed per-node view;
-        // after catch-up it is identical to the canonical state).
         let (dirline, home_frame) = {
             let pd = m.nodes[home]
                 .controller
                 .dir
-                .read(NodeId(n as u16), self.gpage)
+                .page(self.gpage)
                 .expect("checked above");
             (pd.line(self.line), pd.home_frame)
         };
@@ -570,15 +567,11 @@ impl RemoteTxn {
         let outcome = self.outcome.as_ref().expect("set by HomeDispatch");
         let new_state = outcome.new_state;
         let home_tag_to = outcome.home_tag_to;
-        {
-            let dir = &mut m.nodes[self.home].controller.dir;
-            dir.apply(self.gpage, DirOp::SetLine(self.line, new_state));
-            dir.apply(self.gpage, DirOp::TrafficTick(1));
+        if let Some(pd) = m.nodes[self.home].controller.dir.page_mut(self.gpage) {
+            *pd.line_mut(self.line) = new_state;
+            pd.traffic += 1;
             if m.cfg.client_frame_hints_in_directory && self.home != self.n {
-                dir.apply(
-                    self.gpage,
-                    DirOp::SetClientFrame(NodeId(self.n as u16), self.frame),
-                );
+                pd.client_frames.insert(NodeId(self.n as u16), self.frame);
             }
         }
         if let Some(tag) = home_tag_to {

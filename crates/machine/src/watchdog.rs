@@ -118,12 +118,10 @@ impl Machine {
         // are atomic, so the directory never wedges: it still records
         // this node's standing from before the fault.
         let me = NodeId(n as u16);
-        // Read through the requester's replica: under the log backend a
-        // recovering node replays the home's log before trusting its view.
         let dirline = self.nodes[home]
             .controller
             .dir
-            .read(me, gpage)
+            .page(gpage)
             .map(|pd| pd.line(line));
         let tag = match dirline {
             Some(LineDir::Owned(o)) if o == me => LineTag::Exclusive,

@@ -517,7 +517,10 @@ fn parallel_epochs_match_serial_heap_with_lanuma() {
 /// `ParallelFallbackReason::ALL` is compile-time-checked for
 /// exhaustiveness, and this locks the emission side: a new variant
 /// cannot silently vanish from `to_json_debug`. Also pins the cursor
-/// and epoch-histogram fields the perf-smoke CI job parses.
+/// and epoch-histogram fields the perf-smoke CI job parses, and the
+/// report contract: `to_json_debug` strictly extends the plain
+/// `to_json`, whose scheduler-invariant bytes never carry the
+/// scheduler-dependent `parallel_fallback` block.
 #[test]
 fn debug_report_names_every_fallback_reason() {
     use prism::machine::ParallelFallbackReason;
@@ -527,7 +530,16 @@ fn debug_report_names_every_fallback_reason() {
         min_traffic: 32,
         dominance: 0.55,
     });
-    let json = Machine::new(cfg).run_jobs(&feature_jobs()).to_json_debug();
+    let report = Machine::new(cfg).run_jobs(&feature_jobs());
+    let (plain, json) = (report.to_json(), report.to_json_debug());
+    assert!(
+        !plain.contains("parallel_fallback"),
+        "plain report leaked parallel_fallback"
+    );
+    assert!(
+        json.starts_with(&plain[..plain.len() - 1]),
+        "to_json_debug must extend to_json"
+    );
     for reason in ParallelFallbackReason::ALL {
         assert!(
             json.contains(&format!("\"{}\":", reason.name())),
@@ -546,197 +558,64 @@ fn debug_report_names_every_fallback_reason() {
     }
 }
 
-/// Every page mode × every scheduler in the grid: the log-replicated
-/// directory backend must reproduce the full-map backend's `RunReport`
-/// byte for byte. The job mix spans two-node sharing plus single-node
-/// jobs, and the tight page-cache cap forces client page-outs so the
-/// eviction/write-back directory paths are exercised under all six
-/// policies.
-#[test]
-fn log_replicated_directory_matches_full_map_everywhere() {
-    let schedules = [
-        (SchedulerKind::Heap, 1),
-        (SchedulerKind::LinearScan, 1),
-        (SchedulerKind::ParallelHeap, 1),
-        (SchedulerKind::ParallelHeap, 2),
-        (SchedulerKind::ParallelHeap, 4),
-    ];
-    let policies = [
-        PagePolicy::Scoma,
-        PagePolicy::Lanuma,
-        PagePolicy::DynFcfs,
-        PagePolicy::DynUtil,
-        PagePolicy::DynLru,
-        PagePolicy::DynBoth,
-    ];
-    for policy in policies {
-        for (scheduler, workers) in schedules {
-            let run = |directory| {
-                let mut cfg = feature_cfg(scheduler, workers);
-                cfg.policy = policy;
-                cfg.page_cache_capacity = Some(2);
-                cfg.directory = directory;
-                Machine::new(cfg).run_jobs(&feature_jobs()).to_json()
-            };
-            assert_eq!(
-                run(DirectoryKind::FullMap),
-                run(DirectoryKind::LogReplicated),
-                "directory backends diverged under {policy:?} / {scheduler:?} x{workers}"
-            );
-        }
-    }
-}
-
-/// The log backend must also track the full map through faults,
-/// migration re-mastering, journaling, watchdog recovery, and home
-/// failover — the paths that detach, scrub, and re-adopt directory
-/// state. Byte-equality is asserted across the whole scheduler grid.
-#[test]
-fn log_replicated_directory_matches_full_map_under_faults() {
-    let schedules = [
-        (SchedulerKind::Heap, 1),
-        (SchedulerKind::LinearScan, 1),
-        (SchedulerKind::ParallelHeap, 1),
-        (SchedulerKind::ParallelHeap, 2),
-        (SchedulerKind::ParallelHeap, 4),
-    ];
-    for (scheduler, workers) in schedules {
-        let run = |directory| {
-            let mut cfg = base_config();
-            cfg.scheduler = scheduler;
-            cfg.worker_threads = workers;
-            cfg.directory = directory;
-            cfg.migration = Some(MigrationPolicy {
-                check_interval: 16,
-                min_traffic: 32,
-                dominance: 0.55,
-            });
-            cfg.journal = JournalPolicy::Eager {
-                record_cycles: 4,
-                replay_cycles_per_line: 24,
-            };
-            let trace = app(AppId::Ocean, Scale::Small).generate(8);
-            let plan = FaultPlan::new(0xFA117)
-                .link_faults(0.002, 0.0004)
-                .wedge_transit(NodeId(3), Cycle(60_000))
-                .fail_node(NodeId(2), Cycle(120_000));
-            let mut m = Machine::new(cfg);
-            m.install_fault_plan(plan).expect("fault plan validates");
-            m.run(&trace).to_json()
-        };
-        assert_eq!(
-            run(DirectoryKind::FullMap),
-            run(DirectoryKind::LogReplicated),
-            "directory backends diverged under faults on {scheduler:?} x{workers}"
-        );
-    }
-}
-
-/// Goldens for the log backend: it must reproduce the *same* fixtures
-/// the full map is held to (`lu_audit`, `ocean_faults`), which pins the
-/// new backend against recorded history, not just against today's full
-/// map. Re-bless (after an intentional behavior change only) with
-/// `GOLDEN_BLESS=1 cargo test --test determinism` — the fixtures are
-/// shared, so a re-bless re-validates both backends.
-#[test]
-fn golden_fixtures_hold_under_log_replicated_directory() {
-    let mut cfg = base_config();
-    cfg.directory = DirectoryKind::LogReplicated;
-    let trace = app(AppId::Lu, Scale::Small).generate(8);
-    check_golden("lu_audit", &Machine::new(cfg).run(&trace).to_json());
-
-    let mut cfg = base_config();
-    cfg.directory = DirectoryKind::LogReplicated;
-    cfg.migration = Some(MigrationPolicy {
-        check_interval: 16,
-        min_traffic: 32,
-        dominance: 0.55,
-    });
-    cfg.journal = JournalPolicy::Eager {
-        record_cycles: 4,
-        replay_cycles_per_line: 24,
-    };
-    let trace = app(AppId::Ocean, Scale::Small).generate(8);
-    let plan = FaultPlan::new(0xFA117)
-        .link_faults(0.002, 0.0004)
-        .wedge_transit(NodeId(3), Cycle(60_000))
-        .fail_node(NodeId(2), Cycle(120_000));
-    let mut m = Machine::new(cfg);
-    m.install_fault_plan(plan).expect("fault plan validates");
-    check_golden("ocean_faults", &m.run(&trace).to_json());
-}
-
-/// Locks the report contract the differential wall relies on: the plain
-/// `to_json` is backend-invariant (the log backend's counters live only
-/// in the debug variant), `to_json_debug` strictly extends the plain
-/// report, and the debug `dir_counters` block carries the named `Ctr`
-/// entries — zero log activity under `FullMap`, nonzero under
-/// `LogReplicated`.
+/// Named for the debug-only `dir_counters` block this contract used to
+/// guard. That block is gone; the directory-cache totals it duplicated
+/// are carried by the plain report's per-node `dir_cache_hits` /
+/// `dir_cache_misses`. Locks the split on a serial LU run: neither
+/// variant carries a `dir_counters` block, the debug variant extends the
+/// plain one by the `parallel_fallback` tail alone, and the per-node
+/// directory-cache counters sit in the plain bytes and see traffic.
 #[test]
 fn dir_counters_live_only_in_debug_report() {
-    let ctr = |json: &str, name: &str| -> u64 {
+    let sum = |json: &str, name: &str| -> u64 {
         let key = format!("\"{name}\":");
-        let at = json.find(&key).unwrap_or_else(|| panic!("missing {key}"));
-        json[at + key.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .expect("counter value")
+        json.match_indices(&key)
+            .map(|(at, _)| {
+                json[at + key.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_digit())
+                    .collect::<String>()
+                    .parse::<u64>()
+                    .expect("counter value")
+            })
+            .sum()
     };
-    let run = |directory| {
-        let mut cfg = base_config();
-        cfg.directory = directory;
-        let trace = app(AppId::Lu, Scale::Small).generate(8);
-        let r = Machine::new(cfg).run(&trace);
-        (r.to_json(), r.to_json_debug())
-    };
-    let (full_plain, full_debug) = run(DirectoryKind::FullMap);
-    let (log_plain, log_debug) = run(DirectoryKind::LogReplicated);
+    let trace = app(AppId::Lu, Scale::Small).generate(8);
+    let r = Machine::new(base_config()).run(&trace);
+    let (plain, debug) = (r.to_json(), r.to_json_debug());
+    for json in [&plain, &debug] {
+        assert!(!json.contains("dir_counters"), "report has dir_counters");
+    }
+    let tail = debug
+        .strip_prefix(&plain[..plain.len() - 1])
+        .expect("to_json_debug must extend to_json");
+    // The tail is `,"parallel_fallback":{...}` plus the closing brace:
+    // the fallback object must close exactly one byte before the end.
+    let block = tail
+        .strip_prefix(",\"parallel_fallback\":")
+        .expect("debug tail starts with parallel_fallback");
+    let mut depth = 0i32;
+    let close = block.char_indices().find_map(|(i, c)| {
+        depth += match c {
+            '{' => 1,
+            '}' => -1,
+            _ => 0,
+        };
+        (depth == 0).then_some(i)
+    });
     assert_eq!(
-        full_plain, log_plain,
-        "plain to_json must be backend-invariant"
+        close,
+        Some(block.len() - 2),
+        "debug tail carries more than parallel_fallback: {tail}"
     );
-    for (plain, debug) in [(&full_plain, &full_debug), (&log_plain, &log_debug)] {
-        assert!(
-            !plain.contains("dir_counters"),
-            "plain report leaked dir_counters"
-        );
-        assert!(
-            debug.starts_with(&plain[..plain.len() - 1]),
-            "to_json_debug must extend to_json"
-        );
-    }
-    for name in [
-        "dir-cache-hits",
-        "dir-cache-misses",
-        "dir-log-appends",
-        "dir-log-combined-appends",
-        "dir-log-replays",
-        "dir-log-compactions",
-    ] {
-        assert!(
-            full_debug.contains(&format!("\"{name}\":")),
-            "debug report lost counter {name}"
-        );
-    }
     assert_eq!(
-        ctr(&full_debug, "dir-log-appends"),
-        0,
-        "full map never appends"
+        plain.matches("\"dir_cache_hits\":").count(),
+        r.per_node.len(),
+        "every node reports its directory-cache hits"
     );
     assert!(
-        ctr(&log_debug, "dir-log-appends") > 0,
-        "log backend must append"
-    );
-    assert!(
-        ctr(&log_debug, "dir-log-replays") > 0,
-        "replicas must replay"
-    );
-    assert_eq!(
-        ctr(&full_debug, "dir-cache-hits") + ctr(&full_debug, "dir-cache-misses"),
-        ctr(&log_debug, "dir-cache-hits") + ctr(&log_debug, "dir-cache-misses"),
-        "directory-cache probes are backend-invariant"
+        sum(&plain, "dir_cache_hits") + sum(&plain, "dir_cache_misses") > 0,
+        "directory cache saw no probes"
     );
 }
 
