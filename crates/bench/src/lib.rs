@@ -1,24 +1,20 @@
 //! # prism-bench — regenerating every table and figure of the paper
 //!
-//! One binary per artifact (run with `cargo run --release -p prism-bench
-//! --bin <name>`):
+//! `tables` regenerates the whole paper in one run; the other binaries
+//! are ablations and drivers (run with `cargo run --release -p
+//! prism-bench --bin <name>`):
 //!
 //! | binary | paper artifact |
 //! |--------|----------------|
-//! | `table1` | Table 1: cache-miss latencies and paging overheads |
-//! | `figure7` | Figure 7: normalized execution time, 8 apps × 6 configs |
-//! | `table3` | Table 3: page frames allocated and average utilization |
-//! | `table4` | Table 4: remote misses (static configs) and SCOMA-70 page-outs |
-//! | `table5` | Table 5: remote misses and page-outs (adaptive configs) |
+//! | `tables` | Tables 1–5 and Figure 7, plus the paper's qualitative shape checks |
 //! | `pit_ablation` | §4.3: SRAM vs DRAM PIT sensitivity |
 //! | `migration_ablation` | §3.5: lazy home migration |
 //! | `paging_ablation` | §3.3: home-page-status flag optimization |
-//! | `tables` | everything above, plus Table 2 (workload descriptions) |
 //! | `capacity_sweep` | §4.3: the Falsafi & Wood page-cache-size crossover |
 //! | `scaling` | 1–16 node speedup curve |
 //! | `ccnuma_ablation` | §3.2/§4.3: LA-NUMA vs true CC-NUMA (PIT bypass) |
 //! | `renuma_ablation` | §4.3 future work: two-directional adaptation |
-//! | `runner` | CLI driver: ad-hoc runs, trace generation/replay |
+//! | `runner` | CLI driver: ad-hoc runs, per-app sweeps (`sweep --app <A> --csv`), trace tooling |
 //!
 //! The library hosts the shared runners so the binaries stay thin, and
 //! so the integration tests can assert the reproduced *shapes* (who

@@ -16,7 +16,7 @@
 
 use prism_kernel::migration::MigrationPolicy;
 use prism_kernel::policy::PagePolicy;
-use prism_machine::config::{AuditMode, MachineConfig, SchedulerKind};
+use prism_machine::config::{MachineConfig, SchedulerKind};
 use prism_machine::faults::{FaultPlan, JournalPolicy, RetryPolicy};
 use prism_mem::addr::NodeId;
 use prism_mem::trace::Trace;
@@ -116,27 +116,6 @@ impl WorkloadSpec {
             }
         };
         w.with_seed(self.seed).generate(procs)
-    }
-}
-
-/// The auditor scope knob, as plain serializable data.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AuditModeSpec {
-    /// Exhaustive sweep.
-    Full,
-    /// Pseudo-random subset per sweep.
-    Sampled(f64),
-    /// Dirty pages only.
-    Incremental,
-}
-
-impl AuditModeSpec {
-    fn to_audit_mode(self) -> AuditMode {
-        match self {
-            AuditModeSpec::Full => AuditMode::Full,
-            AuditModeSpec::Sampled(fraction) => AuditMode::Sampled { fraction },
-            AuditModeSpec::Incremental => AuditMode::Incremental,
-        }
     }
 }
 
@@ -301,8 +280,6 @@ pub struct CaseSpec {
     pub check_coherence: bool,
     /// Online auditor sweep interval (None = end-of-run only).
     pub audit_interval: Option<u64>,
-    /// Auditor per-sweep scope.
-    pub audit_mode: AuditModeSpec,
     /// Message retry policy.
     pub retry: RetryPolicy,
     /// Eager write-back journaling on/off.
@@ -376,7 +353,6 @@ impl CaseSpec {
             .migration(migration)
             .check_coherence(self.check_coherence)
             .audit_interval(self.audit_interval)
-            .audit_mode(self.audit_mode.to_audit_mode())
             .retry(self.retry)
             .journal(if self.journal_eager {
                 JournalPolicy::eager()
@@ -418,11 +394,10 @@ impl CaseSpec {
         } else {
             None
         };
-        let audit_mode = match rng.gen_index(5) {
-            0 => AuditModeSpec::Incremental,
-            1 => AuditModeSpec::Sampled(0.25 + 0.25 * rng.gen_index(3) as f64),
-            _ => AuditModeSpec::Full,
-        };
+        // The retired audit-scope draw, discarded so every later field is unchanged.
+        if rng.gen_index(5) == 1 {
+            rng.gen_index(3);
+        }
         let retry = RetryPolicy {
             max_attempts: 1 + rng.gen_index(8) as u32,
             timeout_cycles: 1_024 << rng.gen_index(3),
@@ -518,7 +493,6 @@ impl CaseSpec {
             migration,
             check_coherence,
             audit_interval,
-            audit_mode,
             retry,
             journal_eager,
             watchdog_deadline,
@@ -562,13 +536,6 @@ impl CaseSpec {
                 None => "null".into(),
             },
         );
-        let (mode, fraction) = match self.audit_mode {
-            AuditModeSpec::Full => ("full", 0.0),
-            AuditModeSpec::Sampled(f) => ("sampled", f),
-            AuditModeSpec::Incremental => ("incremental", 0.0),
-        };
-        field("audit_mode", quote(mode));
-        field("audit_fraction", format!("{fraction}"));
         field(
             "retry",
             format!(
@@ -670,16 +637,6 @@ impl CaseSpec {
             }
         }
 
-        let audit_mode = match req(v, "audit_mode")?.as_str() {
-            Some("full") => AuditModeSpec::Full,
-            Some("incremental") => AuditModeSpec::Incremental,
-            Some("sampled") => AuditModeSpec::Sampled(
-                req(v, "audit_fraction")?
-                    .as_f64()
-                    .ok_or("audit_fraction is not a number")?,
-            ),
-            other => return Err(format!("bad audit_mode {other:?}")),
-        };
         let retry = req(v, "retry")?;
         let workload = req(v, "workload")?;
         let faults = req(v, "faults")?;
@@ -730,7 +687,6 @@ impl CaseSpec {
             migration: boolean(v, "migration")?,
             check_coherence: boolean(v, "check_coherence")?,
             audit_interval: opt_num(v, "audit_interval")?,
-            audit_mode,
             retry: RetryPolicy {
                 max_attempts: num(retry, "max_attempts")? as u32,
                 timeout_cycles: num(retry, "timeout_cycles")?,

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use prism_chaos::gen::{policy_name, AuditModeSpec, WorkloadKind, ALL_POLICIES};
+use prism_chaos::gen::{policy_name, WorkloadKind, ALL_POLICIES};
 use prism_chaos::oracle::check_all;
 use prism_chaos::repro::replay;
 use prism_chaos::run::run_case;
@@ -266,15 +266,14 @@ fn committed_canary_repro_replays_deterministically() {
 /// Satellite lock-in: configurations the parallel scheduler used to
 /// refuse wholesale — lazy migration, client page-cache caps, and every
 /// non-SCOMA page mode — now run epoch-parallel. For each category the
-/// first eligible generated case (shadow checking off, auditor not
-/// incremental; fault plan stripped so no control event forces a serial
-/// pick) runs the full Heap/LinearScan/ParallelHeap 1/2/4w grid: the
+/// first eligible generated case (shadow checking off; fault plan
+/// stripped so no control event forces a serial pick) runs the full Heap/LinearScan/ParallelHeap 1/2/4w grid: the
 /// standard oracles hold (byte-identical reports), no ParallelHeap run
 /// charges a single `ineligible_config` fallback, and the multi-worker
 /// runs actually form epochs with the footprint ledger engaged.
 #[test]
 fn newly_eligible_modes_run_epoch_parallel_across_the_grid() {
-    let eligible = |c: &CaseSpec| !c.check_coherence && c.audit_mode != AuditModeSpec::Incremental;
+    let eligible = |c: &CaseSpec| !c.check_coherence;
     let pick = |label: &'static str, pred: &dyn Fn(&CaseSpec) -> bool| {
         let mut case = (0..120)
             .map(|i| CaseSpec::generate(WINDOW_SEED, i))

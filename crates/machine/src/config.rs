@@ -35,36 +35,11 @@ pub enum SchedulerKind {
     /// serial fallback is recorded with a structured
     /// [`ParallelFallbackReason`](crate::ParallelFallbackReason)
     /// in the report. Only configurations that observe the global pick
-    /// interleaving (shadow checking, incremental auditing, user mode
-    /// preferences) run fully serial; migration, page-cache pressure,
-    /// and every page policy form epochs through the footprint
-    /// ledger's policy-aware closures.
+    /// interleaving (shadow checking, user mode preferences) run fully
+    /// serial; migration, page-cache pressure, and every page policy
+    /// form epochs through the footprint ledger's policy-aware
+    /// closures.
     ParallelHeap,
-}
-
-/// Scope of an online coherence audit sweep.
-///
-/// `Full` is the exhaustive sweep the auditor has always run. The other
-/// modes trade coverage per sweep for sweep cost, while staying
-/// deterministic: sampling draws from a dedicated `SimRng` stream, and
-/// incremental sweeps consume the dirty-page ring fed by the
-/// observability layer. Transit-tag staleness is always checked in
-/// full — a wedged line is exactly the state a sampled sweep must not
-/// miss.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum AuditMode {
-    /// Audit every directory page and every PIT entry per sweep.
-    #[default]
-    Full,
-    /// Audit a deterministic pseudo-random subset per sweep.
-    Sampled {
-        /// Probability that any given page/entry is audited this sweep.
-        fraction: f64,
-    },
-    /// Audit only pages dirtied since the previous sweep (fed from the
-    /// observability event ring; falls back to a full sweep when the
-    /// ring overflowed).
-    Incremental,
 }
 
 /// Static configuration of a simulated PRISM machine.
@@ -142,9 +117,6 @@ pub struct MachineConfig {
     /// Run the online coherence auditor every this many cycles
     /// (`None` = only the end-of-run sweep when auditing is needed).
     pub audit_interval: Option<u64>,
-    /// Run the online auditor in this scope per sweep (a host-cost /
-    /// coverage knob; `Full` reproduces historical behavior).
-    pub audit_mode: AuditMode,
     /// Ready-queue implementation for the run loop (results are
     /// identical either way; this is a host-performance knob).
     pub scheduler: SchedulerKind,
@@ -227,12 +199,6 @@ impl MachineConfig {
         if let Some(n) = self.audit_interval {
             assert!(n >= 1, "audit interval must be at least one cycle");
         }
-        if let AuditMode::Sampled { fraction } = self.audit_mode {
-            assert!(
-                (0.0..=1.0).contains(&fraction),
-                "audit sampling fraction must be within [0, 1]"
-            );
-        }
         assert!(
             self.worker_threads >= 1,
             "parallel scheduler needs at least one worker thread"
@@ -270,7 +236,6 @@ impl Default for MachineConfig {
             journal: JournalPolicy::Off,
             watchdog_deadline: 16_384,
             audit_interval: None,
-            audit_mode: AuditMode::Full,
             scheduler: SchedulerKind::Heap,
             worker_threads: 4,
             min_epoch_span: 1024,
@@ -344,8 +309,6 @@ impl MachineConfigBuilder {
         watchdog_deadline: u64);
     setter!(/// Runs the online coherence auditor every `v` cycles.
         audit_interval: Option<u64>);
-    setter!(/// Selects the auditor's per-sweep scope.
-        audit_mode: AuditMode);
     setter!(/// Selects the run-loop ready-queue implementation.
         scheduler: SchedulerKind);
     setter!(/// Sets worker threads for the parallel scheduler.

@@ -100,7 +100,7 @@ pub mod shadow;
 pub mod txn;
 mod watchdog;
 
-pub use config::{AuditMode, MachineConfig, SchedulerKind};
+pub use config::{MachineConfig, SchedulerKind};
 pub use failure::NoPitBinding;
 pub use faults::{FaultPlan, FaultPlanError, FaultReport, JournalPolicy, RetryPolicy};
 pub use machine::Machine;

@@ -25,7 +25,6 @@ use prism_sim::sync::{BarrierSet, LockSet};
 use prism_sim::Cycle;
 
 use prism_kernel::policy::PagePolicy;
-use prism_sim::SimRng;
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultPlan, FaultPlanError, FaultReport, FaultState, Journal};
@@ -37,10 +36,6 @@ use crate::par::ParallelFallback;
 use crate::report::RunReport;
 use crate::sched::Sched;
 use crate::shadow::Shadow;
-
-/// Seed for the auditor's dedicated sampling RNG stream: sampled sweeps
-/// must draw identically across schedulers and reruns.
-pub(crate) const AUDIT_RNG_SEED: u64 = 0x000A_0D17_5EED_0001;
 
 /// A simulated PRISM machine.
 ///
@@ -98,8 +93,6 @@ pub struct Machine {
     /// distinguish lazy-migration staleness from corruption.
     pub(crate) former_homes: HashMap<GlobalPage, NodeSet>,
     pub(crate) workload_name: String,
-    /// Deterministic RNG stream for sampled audit sweeps.
-    pub(crate) audit_rng: SimRng,
     /// True once the user suggested page/region modes; the parallel
     /// scheduler's eligibility gate treats such machines as opaque.
     pub(crate) mode_prefs_set: bool,
@@ -157,7 +150,6 @@ impl Machine {
             next_audit,
             former_homes: HashMap::new(),
             workload_name: String::new(),
-            audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,
             ingest: std::sync::Arc::new(IngestIndex::default()),
             fast_xlat: false,
@@ -411,14 +403,6 @@ impl Machine {
         self.homes.place_segment(gsid, first_node, node_count);
         for node in &mut self.nodes {
             node.kernel.place_segment(gsid, first_node, node_count);
-        }
-    }
-
-    /// Feeds the incremental auditor's dirty-page ring (a no-op in any
-    /// other audit mode, so the hot path pays one predictable branch).
-    pub(crate) fn touch_page(&mut self, gpage: GlobalPage) {
-        if self.cfg.audit_mode == crate::config::AuditMode::Incremental {
-            self.obs.note_touched(gpage);
         }
     }
 

@@ -34,11 +34,6 @@ use crate::shadow::AuditFinding;
 /// How many structural events the bus retains.
 const RING_CAPACITY: usize = 1024;
 
-/// How many dirtied-page records the bus retains for incremental audit
-/// sweeps. An overflow between sweeps (detected by the total-pushed
-/// watermark) downgrades that sweep to a full one.
-const TOUCHED_CAPACITY: usize = 4096;
-
 /// Dense counter indices for high-frequency protocol events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
@@ -254,13 +249,6 @@ pub(crate) struct EventBus {
     pub(crate) findings: Vec<AuditFinding>,
     /// Completed auditor sweeps.
     pub(crate) sweeps: u64,
-    /// Pages whose coherence-relevant state changed (fault commits,
-    /// remote transactions, page-outs) — the feed for incremental audit
-    /// sweeps.
-    touched: EventRing<GlobalPage>,
-    /// Total-pushed watermark of `touched` at the last sweep; if more
-    /// events than the ring holds arrived since, some were lost.
-    touched_seen: u64,
     /// Pending footprint-ledger invalidations (see [`CursorInval`]).
     /// Only populated while `inval_enabled`; the epoch executor drains
     /// it before every scan.
@@ -294,8 +282,6 @@ impl EventBus {
             fault: FaultReport::default(),
             findings: Vec::new(),
             sweeps: 0,
-            touched: EventRing::new(TOUCHED_CAPACITY),
-            touched_seen: 0,
             inval: Vec::new(),
             inval_enabled: false,
             stage: StageTimes::default(),
@@ -387,42 +373,18 @@ impl EventBus {
         self.ring.iter().copied().collect()
     }
 
-    /// Records that `gpage`'s coherence-relevant state changed, for the
-    /// next incremental audit sweep.
-    #[inline]
-    pub(crate) fn note_touched(&mut self, gpage: GlobalPage) {
-        self.touched.push(gpage);
-    }
-
-    /// Drains the dirtied-page set accumulated since the previous drain:
-    /// a sorted, deduplicated page list, plus whether the ring
-    /// overflowed in between (in which case the list is incomplete and
-    /// the caller must fall back to a full sweep).
-    pub(crate) fn drain_touched(&mut self) -> (Vec<GlobalPage>, bool) {
-        let pushed = self.touched.total_pushed();
-        let overflowed = pushed - self.touched_seen > self.touched.len() as u64;
-        self.touched_seen = pushed;
-        let mut pages: Vec<GlobalPage> = self.touched.iter().copied().collect();
-        self.touched.clear();
-        pages.sort_by_key(|g| (g.gsid.0, g.page));
-        pages.dedup();
-        (pages, overflowed)
-    }
-
     /// Folds a worker's bus into this one: counters add index-by-index,
     /// the latency histograms merge, the fault accounting absorbs
     /// additively, and any structural events append in call order —
     /// the epoch executor merges shells in admission order, so the ring
     /// stays in the serial emission order.
     ///
-    /// Worker batches never run the auditor (shells disable it and the
-    /// incremental mode is structurally ineligible), so a worker bus's
-    /// findings, sweep count, and touched-page feed must still be
-    /// empty — merging debug-asserts that invariant.
+    /// Worker batches never run the auditor (shells disable it), so a
+    /// worker bus's findings and sweep count must still be empty —
+    /// merging debug-asserts that invariant.
     pub(crate) fn merge_from(&mut self, worker: &EventBus) {
         debug_assert!(worker.findings.is_empty(), "worker recorded audit findings");
         debug_assert_eq!(worker.sweeps, 0, "worker ran audit sweeps");
-        debug_assert!(worker.touched.is_empty(), "worker touched audit feed");
         self.counters.merge(&worker.counters);
         self.local_fill_latency.merge(&worker.local_fill_latency);
         self.remote_fetch_latency

@@ -40,14 +40,13 @@
 //!
 //! Eligibility is per-feature, not all-or-nothing. Only features that
 //! *observe the global interleaving* force a fully serial run: shadow
-//! checking (versions every access in pick order), incremental
-//! auditing (the dirty-page ring), and user mode preferences (opaque
-//! per-page routing). Everything else — migration, page-cache
-//! pressure, LA-NUMA and dynamic page policies, fault plans,
-//! journaling, the watchdog — participates in epochs, because the
-//! footprint helpers close over every node such a feature could drag
-//! into a window: migration targets come from the page's traffic
-//! ledger ([`Machine::remote_txn_footprint`]), LA-NUMA write-back
+//! checking (versions every access in pick order) and user mode
+//! preferences (opaque per-page routing). Everything else —
+//! migration, page-cache pressure, LA-NUMA and dynamic page policies,
+//! fault plans, journaling, the watchdog — participates in epochs,
+//! because the footprint helpers close over every node such a feature
+//! could drag into a window: migration targets come from the page's
+//! traffic ledger ([`Machine::remote_txn_footprint`]), LA-NUMA write-back
 //! owners and page-cache eviction victims from the node's fill
 //! closure ([`Machine::local_fill_closure`]). A migration that
 //! re-masters a page inside an epoch is therefore a *group-local*
@@ -101,14 +100,12 @@ use prism_mem::addr::{NodeId, NodeSet};
 use prism_mem::trace::{Op, Trace};
 use prism_protocol::msg::TrafficLedger;
 use prism_sim::sync::{BarrierSet, LockSet};
-use prism_sim::SimRng;
 use prism_sim::{Cycle, Resource};
 
-use crate::config::AuditMode;
 use crate::controller::Controller;
 use crate::faults::Journal;
 use crate::fp_ledger::{FootprintLedger, ScanStep};
-use crate::machine::{Machine, AUDIT_RNG_SEED};
+use crate::machine::Machine;
 use crate::node::{Node, ProcState};
 use crate::obs::{EventBus, StageTimes};
 use crate::sched::Sched;
@@ -149,11 +146,10 @@ pub(crate) struct Group {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ParallelFallbackReason {
     /// The configuration is structurally ineligible — it observes the
-    /// global interleaving (shadow checking, incremental auditing) or
-    /// routes through opaque user mode preferences: the whole run is
-    /// serial. Migration, page-cache pressure, and non-S-COMA policies
-    /// are *not* on this list; the footprint ledger's closures admit
-    /// them to epochs.
+    /// global interleaving (shadow checking) or routes through opaque
+    /// user mode preferences: the whole run is serial. Migration,
+    /// page-cache pressure, and non-S-COMA policies are *not* on this
+    /// list; the footprint ledger's closures admit them to epochs.
     IneligibleConfig,
     /// A scheduled control event — fault injection, watchdog deadline
     /// sweep, or audit sweep — was due at or before the pick's clock.
@@ -530,8 +526,7 @@ impl Machine {
     /// `None` when the configuration guarantees that disjoint-footprint
     /// batches commute. Only features that observe the global pick
     /// interleaving remain on the serial list: shadow checking
-    /// (versions accesses in pick order), incremental auditing (the
-    /// dirty-page ring is ordered by touch), and user mode preferences
+    /// (versions accesses in pick order) and user mode preferences
     /// (opaque per-page routing the footprint helpers cannot close
     /// over). Migration, page-cache pressure, and non-S-COMA policies
     /// are eligible: [`Machine::remote_txn_footprint`] closes over
@@ -541,10 +536,8 @@ impl Machine {
     /// plans, journaling, the watchdog, and failed nodes are admitted
     /// per-epoch via control-event bounds and the recovery hazard set.
     fn parallel_ineligible(&self) -> Option<ParallelFallbackReason> {
-        let structural = self.cfg.audit_mode != AuditMode::Incremental
-            && !self.mode_prefs_set
-            && self.shadow.is_none();
-        (!structural).then_some(ParallelFallbackReason::IneligibleConfig)
+        (self.mode_prefs_set || self.shadow.is_some())
+            .then_some(ParallelFallbackReason::IneligibleConfig)
     }
 
     /// Nodes no epoch batch may touch: failed nodes (their pages are
@@ -1015,7 +1008,6 @@ impl Machine {
             next_audit: u64::MAX,
             former_homes: HashMap::new(),
             workload_name: String::new(),
-            audit_rng: SimRng::new(AUDIT_RNG_SEED),
             mode_prefs_set: false,
             ingest: std::sync::Arc::clone(&self.ingest),
             fast_xlat: self.fast_xlat,

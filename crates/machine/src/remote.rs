@@ -33,9 +33,6 @@ impl Machine {
         scoma: bool,
         t: Cycle,
     ) -> Cycle {
-        // Every remote transaction can change the page's directory or
-        // tag state: feed the incremental auditor's dirty-page ring.
-        self.touch_page(gpage);
         RemoteTxn::new(
             n, pi, frame, gpage, line, key, lid, write, has_data, scoma, t,
         )

@@ -195,7 +195,6 @@ impl Machine {
 
         // Publish the new dynamic home at the static home. The old home
         // becomes a legal stale hint (clients heal lazily).
-        self.touch_page(gpage);
         self.dyn_homes.insert(gpage, NodeId(new as u16));
         self.former_homes
             .entry(gpage)
@@ -467,7 +466,6 @@ impl Machine {
             });
         }
 
-        self.touch_page(gpage);
         self.dyn_homes.insert(gpage, NodeId(static_home as u16));
         self.former_homes
             .entry(gpage)

@@ -21,13 +21,11 @@
 /// ring.push(2);
 /// ring.push(3); // overwrites 1
 /// assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2, 3]);
-/// assert_eq!(ring.total_pushed(), 3);
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventRing<T> {
     buf: Vec<T>,
     head: usize,
-    total: u64,
     capacity: usize,
 }
 
@@ -42,7 +40,6 @@ impl<T> EventRing<T> {
         EventRing {
             buf: Vec::with_capacity(capacity),
             head: 0,
-            total: 0,
             capacity,
         }
     }
@@ -55,7 +52,6 @@ impl<T> EventRing<T> {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
         }
-        self.total += 1;
     }
 
     /// Events currently retained, oldest first.
@@ -65,30 +61,9 @@ impl<T> EventRing<T> {
             .chain(self.buf[..self.head].iter())
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no event has been retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever pushed (including overwritten ones).
-    pub fn total_pushed(&self) -> u64 {
-        self.total
-    }
-
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Drops all retained events (the total-pushed count survives).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 }
 
@@ -188,8 +163,6 @@ mod tests {
             r.push(i);
         }
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.total_pushed(), 5);
         assert_eq!(r.capacity(), 3);
     }
 
@@ -199,19 +172,6 @@ mod tests {
         r.push("a");
         r.push("b");
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec!["a", "b"]);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn ring_clear_resets_contents_not_total() {
-        let mut r = EventRing::new(2);
-        r.push(1);
-        r.push(2);
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.total_pushed(), 2);
-        r.push(9);
-        assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]

@@ -619,18 +619,67 @@ fn dir_counters_live_only_in_debug_report() {
     );
 }
 
-/// Sampled and incremental audit sweeps must themselves be
-/// deterministic: same configuration, same findings and sweep count,
-/// run after run.
+/// Periodic audit sweeps keep the epoch executor byte-identical to the
+/// serial heap: audit dues bound epochs as control events, every sweep
+/// is exhaustive, and the sweeps find nothing on a healthy machine.
 #[test]
 fn audit_modes_are_deterministic() {
-    for mode in [AuditMode::Sampled { fraction: 0.5 }, AuditMode::Incremental] {
-        let run = || {
-            let mut cfg = base_config();
-            cfg.audit_mode = mode;
-            let trace = app(AppId::Ocean, Scale::Small).generate(8);
-            Machine::new(cfg).run(&trace).to_json()
-        };
-        assert_eq!(run(), run(), "audit mode {mode:?} is not deterministic");
+    let serial = check_feature_epochs("periodic audits", |cfg| {
+        cfg.audit_interval = Some(10_000);
+    });
+    assert!(serial.audit_sweeps > 0, "the auditor never swept");
+    assert!(
+        serial.audit.is_empty(),
+        "audit findings on a healthy run: {:?}",
+        serial.audit
+    );
+}
+
+/// Audit dues cut epochs, and serial batches overshoot them unless they
+/// are capped at the next control due too (`heap_step`): a
+/// compute-heavy lane's batch would otherwise run past a due that the
+/// epoch executor stops at, firing the sweep at a different point of the
+/// interleaving. Sweep counts and report bytes must match the heap.
+#[test]
+fn parallel_heap_matches_heap_with_periodic_audits() {
+    use prism::mem::addr::VirtAddr;
+    use prism::mem::trace::{Op, SegmentSpec, Trace, SHARED_BASE};
+
+    let page = 4096u64;
+    let a = SHARED_BASE; // page 0 -> home node 0
+    let b = SHARED_BASE + page; // page 1 -> home node 1
+    let mut lane0 = Vec::new();
+    let mut lane1 = Vec::new();
+    for _ in 0..3000 {
+        lane0.push(Op::Read(VirtAddr(a)));
+        lane0.push(Op::Compute(397));
+        lane1.push(Op::Read(VirtAddr(b)));
+        lane1.push(Op::Compute(11));
     }
+    let trace = Trace {
+        name: "periodic-audits".into(),
+        segments: vec![SegmentSpec {
+            name: "s".into(),
+            va_base: SHARED_BASE,
+            bytes: 2 * page,
+        }],
+        lanes: vec![lane0, lane1],
+    };
+    let run = |scheduler| {
+        let cfg = MachineConfig::builder()
+            .nodes(2)
+            .procs_per_node(1)
+            .audit_interval(Some(500))
+            .scheduler(scheduler)
+            .worker_threads(1)
+            .build();
+        Machine::new(cfg).run(&trace)
+    };
+    let serial = run(SchedulerKind::Heap);
+    let par = run(SchedulerKind::ParallelHeap);
+    assert_eq!(
+        serial.audit_sweeps, par.audit_sweeps,
+        "audit sweep counts diverged"
+    );
+    assert_eq!(serial.to_json(), par.to_json(), "reports diverged");
 }
