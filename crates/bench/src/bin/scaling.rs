@@ -238,26 +238,15 @@ fn parallel_ab(workload: &dyn prism_workloads::Workload) -> ParallelAb {
             }
         })
         .collect();
-    // The cursor counters are part of the deterministic replay, so
-    // every worker count produces the same set — render_json dedupes
-    // them into one top-level object on the strength of this check.
+    // Epoch decisions and cursor counters are part of the
+    // deterministic replay, so every worker count produces the same set
+    // — render_json dedupes them into top-level objects on the strength
+    // of this check.
     for r in &workers[1..] {
-        let a = &workers[0].fallback;
-        let b = &r.fallback;
         assert_eq!(
-            (
-                a.cursor_hits,
-                a.cursor_slides,
-                a.cursor_misses,
-                a.cursor_invalidations
-            ),
-            (
-                b.cursor_hits,
-                b.cursor_slides,
-                b.cursor_misses,
-                b.cursor_invalidations
-            ),
-            "cursor counters must not depend on the worker count"
+            work_counters(&r.fallback),
+            work_counters(&workers[0].fallback),
+            "epoch decisions and cursor counters must not depend on the worker count"
         );
     }
     // Sliding cursors exist to make one worker as fast as the serial
@@ -271,6 +260,27 @@ fn parallel_ab(workload: &dyn prism_workloads::Workload) -> ParallelAb {
         );
     }
     ParallelAb { serial_ms, workers }
+}
+
+/// A `ParallelHeap` run's deterministic work counters: epochs, serial
+/// picks, the epoch-size histogram, the per-reason fallback counts,
+/// and the cursor hits, slides, misses and invalidations.
+fn work_counters(f: &ParallelFallback) -> (u64, u64, &[u64], Vec<u64>, [u64; 4]) {
+    (
+        f.epochs,
+        f.serial_picks,
+        &f.epoch_groups,
+        ParallelFallbackReason::ALL
+            .iter()
+            .map(|&r| f.count(r))
+            .collect(),
+        [
+            f.cursor_hits,
+            f.cursor_slides,
+            f.cursor_misses,
+            f.cursor_invalidations,
+        ],
+    )
 }
 
 struct EligibilityRow {
@@ -427,6 +437,19 @@ fn render_json(
     // Deterministic across worker counts (parallel_ab asserts it), so
     // one copy serves every row.
     let cur = &par.workers[0].fallback;
+    let groups: Vec<String> = cur.epoch_groups.iter().map(u64::to_string).collect();
+    let reasons: Vec<String> = ParallelFallbackReason::ALL
+        .iter()
+        .map(|&r| format!("\"{}\": {}", r.name(), cur.count(r)))
+        .collect();
+    o.push_str(&format!(
+        "  \"decisions\": {{\"epochs\": {}, \"serial_picks\": {}, \
+         \"epoch_groups\": [{}], \"fallback\": {{{}}}}},\n",
+        cur.epochs,
+        cur.serial_picks,
+        groups.join(","),
+        reasons.join(", "),
+    ));
     o.push_str(&format!(
         "  \"cursor\": {{\"hits\": {}, \"misses\": {}, \"slides\": {}, \
          \"invalidations\": {}, \"hit_rate\": {}}}}},\n",

@@ -286,20 +286,6 @@ pub struct CaseSpec {
     pub journal_eager: bool,
     /// Transit-tag watchdog deadline in cycles.
     pub watchdog_deadline: u64,
-    /// Cursor rewatermark tolerance in trace operations (0 disables
-    /// sliding entirely — the pre-slide full-rescan behavior). A host
-    /// wall-clock heuristic: a slid window is bitwise what a fresh scan
-    /// returns, so reports must be identical at any value — the
-    /// differential oracle holds each case to that.
-    pub rewatermark_tolerance: u64,
-    /// Minimum simulated-cycle span an epoch must cover to be admitted
-    /// by the parallel scheduler. Wall-clock heuristic like
-    /// [`CaseSpec::rewatermark_tolerance`].
-    pub min_epoch_span: u64,
-    /// Cap on the parallel scheduler's exponential scan backoff, in
-    /// picks. Wall-clock heuristic like
-    /// [`CaseSpec::rewatermark_tolerance`]; must be at least 1.
-    pub max_epoch_backoff: u64,
     /// Space-shared jobs (1 = whole-machine, 2 = two jobs on disjoint
     /// node halves; structural faults then only target job 0's nodes so
     /// the containment oracle can hold job 1 harmless).
@@ -360,9 +346,6 @@ impl CaseSpec {
                 JournalPolicy::Off
             })
             .watchdog_deadline(self.watchdog_deadline)
-            .rewatermark_tolerance(self.rewatermark_tolerance)
-            .min_epoch_span(self.min_epoch_span)
-            .max_epoch_backoff(self.max_epoch_backoff)
             .scheduler(scheduler)
             .worker_threads(workers)
             .build()
@@ -467,20 +450,6 @@ impl CaseSpec {
             }
         }
 
-        // Discarded on purpose: this draw keeps the pacing knobs below at
-        // the stream positions earlier harness versions used, so every
-        // campaign seed still generates the same cases (and committed
-        // repro artifacts keep re-deriving from their seeds).
-        let _ = rng.gen_bool(0.5);
-        // Appended after everything older: the epoch-executor pacing
-        // knobs join the end of the stream so historical case fields
-        // keep their exact values. All three are wall-clock heuristics
-        // the differential oracle must prove report-invariant —
-        // including tolerance 0, the no-sliding degenerate.
-        let rewatermark_tolerance = [0u64, 16, 256, 4096][rng.gen_index(4)];
-        let min_epoch_span = 64u64 << rng.gen_index(5);
-        let max_epoch_backoff = 1u64 << rng.gen_index(10);
-
         let spec = CaseSpec {
             campaign_seed,
             index,
@@ -496,9 +465,6 @@ impl CaseSpec {
             retry,
             journal_eager,
             watchdog_deadline,
-            rewatermark_tolerance,
-            min_epoch_span,
-            max_epoch_backoff,
             jobs,
             workload,
             faults,
@@ -601,12 +567,6 @@ impl CaseSpec {
                 events.join(",")
             ),
         );
-        field(
-            "rewatermark_tolerance",
-            self.rewatermark_tolerance.to_string(),
-        );
-        field("min_epoch_span", self.min_epoch_span.to_string());
-        field("max_epoch_backoff", self.max_epoch_backoff.to_string());
         o.pop();
         o.push('}');
         o
@@ -694,9 +654,6 @@ impl CaseSpec {
             },
             journal_eager: boolean(v, "journal_eager")?,
             watchdog_deadline: num(v, "watchdog_deadline")?,
-            rewatermark_tolerance: num(v, "rewatermark_tolerance")?,
-            min_epoch_span: num(v, "min_epoch_span")?,
-            max_epoch_backoff: num(v, "max_epoch_backoff")?,
             jobs: num(v, "jobs")? as usize,
             workload: WorkloadSpec {
                 kind: WorkloadKind::from_name(
@@ -761,28 +718,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 6, "six consecutive cases span all modes");
-    }
-
-    #[test]
-    fn short_windows_span_the_pacing_knobs() {
-        for seed in [3u64, 7, 0xBEEF] {
-            let specs: Vec<CaseSpec> = (0..32).map(|i| CaseSpec::generate(seed, i)).collect();
-            let mut tols: Vec<u64> = specs.iter().map(|s| s.rewatermark_tolerance).collect();
-            tols.sort_unstable();
-            tols.dedup();
-            assert!(
-                tols.len() >= 3,
-                "seed {seed:#x} drew too few tolerance values: {tols:?}"
-            );
-            assert!(
-                specs.iter().any(|s| s.rewatermark_tolerance == 0),
-                "seed {seed:#x} never disabled sliding"
-            );
-            assert!(
-                specs.iter().all(|s| s.max_epoch_backoff >= 1),
-                "backoff caps must stay valid by construction"
-            );
-        }
     }
 
     #[test]

@@ -154,28 +154,6 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
         c.retry = RetryPolicy::default();
         push(c);
     }
-    // Epoch-pacing knobs reset to the machine defaults — they are
-    // wall-clock heuristics, so a violation that survives the reset was
-    // never about pacing.
-    let defaults = prism_machine::config::MachineConfig::builder()
-        .nodes(case.nodes)
-        .procs_per_node(case.procs_per_node)
-        .build();
-    if case.rewatermark_tolerance != defaults.rewatermark_tolerance {
-        let mut c = case.clone();
-        c.rewatermark_tolerance = defaults.rewatermark_tolerance;
-        push(c);
-    }
-    if case.min_epoch_span != defaults.min_epoch_span {
-        let mut c = case.clone();
-        c.min_epoch_span = defaults.min_epoch_span;
-        push(c);
-    }
-    if case.max_epoch_backoff != defaults.max_epoch_backoff {
-        let mut c = case.clone();
-        c.max_epoch_backoff = defaults.max_epoch_backoff;
-        push(c);
-    }
 
     out
 }
@@ -203,10 +181,7 @@ mod tests {
                 || (case.journal_eager && !c.journal_eager)
                 || (case.audit_interval.is_some() && c.audit_interval.is_none())
                 || (case.page_cache_capacity.is_some() && c.page_cache_capacity.is_none())
-                || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default())
-                || c.rewatermark_tolerance != case.rewatermark_tolerance
-                || c.min_epoch_span != case.min_epoch_span
-                || c.max_epoch_backoff != case.max_epoch_backoff;
+                || (case.retry != RetryPolicy::default() && c.retry == RetryPolicy::default());
             assert!(smaller, "candidate did not simplify: {c:?}");
         }
     }

@@ -123,29 +123,6 @@ pub struct MachineConfig {
     /// Worker threads for [`SchedulerKind::ParallelHeap`] (clamped to at
     /// least one; ignored by the serial schedulers).
     pub worker_threads: usize,
-    /// Minimum simulated-cycle headroom (`bound - clock`) an epoch must
-    /// have to be worth running under [`SchedulerKind::ParallelHeap`].
-    /// An epoch pays for shell swaps, channel round-trips, and the
-    /// merge regardless of how much work it admits; thinner epochs are
-    /// rejected as `insufficient_parallelism` (engaging the scan
-    /// backoff). Purely a host wall-clock heuristic: results are
-    /// byte-identical at any value.
-    pub min_epoch_span: u64,
-    /// Cap on the parallel scheduler's exponential scan backoff, in
-    /// picks skipped between epoch attempts during conflict-heavy
-    /// phases. Must be at least 1. A host wall-clock heuristic like
-    /// [`MachineConfig::min_epoch_span`]: results are byte-identical
-    /// at any value.
-    pub max_epoch_backoff: u64,
-    /// How far (in trace operations) a window cursor's watermark may
-    /// lag behind the requested pick and still be *slid* forward —
-    /// retiring the executed prefix and extending the suffix — instead
-    /// of rescanned from scratch. Zero disables sliding (every drifted
-    /// watermark is a full rescan, the pre-slide behavior). A host
-    /// wall-clock heuristic like [`MachineConfig::min_epoch_span`]:
-    /// results are byte-identical at any value, because a slid window
-    /// is bitwise what the fresh scan would return.
-    pub rewatermark_tolerance: u64,
     /// Capture a wall-clock stage breakdown (`scan`/`admit`/`execute`/
     /// `merge` nanoseconds) for the parallel scheduler into the debug
     /// report. Off by default: host clocks are nondeterministic, and
@@ -203,10 +180,6 @@ impl MachineConfig {
             self.worker_threads >= 1,
             "parallel scheduler needs at least one worker thread"
         );
-        assert!(
-            self.max_epoch_backoff >= 1,
-            "epoch backoff cap must be at least one pick"
-        );
     }
 }
 
@@ -238,9 +211,6 @@ impl Default for MachineConfig {
             audit_interval: None,
             scheduler: SchedulerKind::Heap,
             worker_threads: 4,
-            min_epoch_span: 1024,
-            max_epoch_backoff: 512,
-            rewatermark_tolerance: 4096,
             stage_timing: false,
         }
     }
@@ -313,12 +283,6 @@ impl MachineConfigBuilder {
         scheduler: SchedulerKind);
     setter!(/// Sets worker threads for the parallel scheduler.
         worker_threads: usize);
-    setter!(/// Sets the minimum simulated-cycle span an epoch must cover.
-        min_epoch_span: u64);
-    setter!(/// Caps the parallel scheduler's epoch-scan backoff, in picks.
-        max_epoch_backoff: u64);
-    setter!(/// Sets the cursor rewatermark tolerance, in trace operations.
-        rewatermark_tolerance: u64);
     setter!(/// Captures wall-clock stage timings in the debug report.
         stage_timing: bool);
 

@@ -245,8 +245,8 @@ pub(crate) struct FootprintLedger {
     /// (retire + extend + rewatermark, including pure footprint
     /// refreshes after a closure generation bump).
     pub(crate) slides: u64,
-    /// Window requests that ran a full scan (cursor cold, stale, out
-    /// of tolerance, or absent).
+    /// Window requests that ran a full scan (cursor cold, stale,
+    /// drifted out of its window, or absent).
     pub(crate) misses: u64,
     /// Ledger state killed by invalidation: memo entries marked stale,
     /// closure slots dropped, and cursors discovered generation-stale
@@ -284,9 +284,10 @@ impl FootprintLedger {
     ///   unmoved closure generation and generation-clean deps: the
     ///   stored window is returned (footprint reassembled from the
     ///   same parts, so a re-cached closure is picked up).
-    /// * **slide** — the watermark drifted forward by `delta ≤
-    ///   tolerance` operations but stays inside the scanned window:
-    ///   the prefix retires, a capped window extends over the newly
+    /// * **slide** — the watermark drifted forward but stays inside the
+    ///   scanned window (`delta < window`, or `delta == window` when
+    ///   the window ended at a sync op or the lane end): the prefix
+    ///   retires, a capped window extends over the newly
     ///   visible suffix, and the cursor rewatermarks in place. Serves
     ///   the request at O(delta + live deps).
     /// * **miss** — anything else (including a generation-stale dep):
@@ -309,7 +310,6 @@ impl FootprintLedger {
         clock: u64,
         l1: u64,
         max_window: usize,
-        tolerance: u64,
         closure_compute: impl FnOnce() -> (NodeSet, Vec<u64>),
         mut step: impl FnMut(usize) -> ScanStep,
         mut page_compute: impl FnMut(VirtAddr) -> NodeSet,
@@ -331,7 +331,7 @@ impl FootprintLedger {
             // would re-scan `max_window` operations, i.e. a miss.
             let covered =
                 delta < c.window() || (delta == c.window() && !matches!(c.trunc, TruncKind::Cap));
-            if exact || (tolerance > 0 && delta as u64 <= tolerance && covered) {
+            if exact || covered {
                 // Retire the prefix, then generation-check what the
                 // surviving window still depends on. A dep invalidated
                 // while sitting entirely inside the retired prefix is
@@ -507,6 +507,9 @@ impl FootprintLedger {
             c.dep_base = 0;
         }
 
+        // Full scans stop at the cap and extensions stop at it too, so
+        // an in-window drift never exceeds `max_window` operations.
+        debug_assert!(c.window() <= max_window);
         let window = c.window();
         let trunc_at = match c.trunc {
             TruncKind::LaneEnd => None,
@@ -804,7 +807,6 @@ mod tests {
 
     const L1: u64 = 4;
     const CAP: usize = 8;
-    const TOL: u64 = 8;
 
     fn ledger() -> FootprintLedger {
         let mut l = FootprintLedger::default();
@@ -853,7 +855,6 @@ mod tests {
             clock,
             L1,
             CAP,
-            TOL,
             || (closure, members.to_vec()),
             |pc| lane.get(pc).copied().unwrap_or(ScanStep::End),
             |va| {
@@ -971,27 +972,27 @@ mod tests {
     }
 
     #[test]
-    fn drift_past_tolerance_is_a_miss() {
-        let mut l = ledger();
+    fn drift_slides_only_inside_a_capped_window() {
         let lane: Vec<ScanStep> = (0..CAP + 8).map(|_| r(1, 9)).collect();
         let pages = [(9, nset(&[2]))];
-        drive(&mut l, 0, 1, 0, 0, &lane, &pages, nset(&[1]), &[]);
-        // TOL is CAP here, so any in-window drift slides; drive with a
-        // zero-tolerance scan to prove the knob gates the slide path.
-        let got = l.scan(
-            0,
-            1,
-            2,
-            2 * L1,
-            L1,
-            CAP,
-            0,
-            || (nset(&[1]), vec![]),
-            |pc| lane.get(pc).copied().unwrap_or(ScanStep::End),
-            |_| nset(&[2]),
-        );
-        assert_eq!(got.0, CAP);
-        assert_eq!((l.hits, l.slides, l.misses), (0, 0, 2));
+        // `window - 1` is the largest drift that still slides; a drift
+        // to the end of the capped window would re-scan `CAP` ops, and
+        // one past it skips ops the cursor never saw: both are misses.
+        for (pc, slides, misses) in [(CAP - 1, 1, 1), (CAP, 0, 2), (CAP + 1, 0, 2)] {
+            let mut warm = ledger();
+            let (w, _, _) = drive(&mut warm, 0, 1, 0, 0, &lane, &pages, nset(&[1]), &[]);
+            assert_eq!(w, CAP);
+            let clock = pc as u64 * L1;
+            let got = drive(&mut warm, 0, 1, pc, clock, &lane, &pages, nset(&[1]), &[]);
+            let mut fresh = ledger();
+            let want = drive(&mut fresh, 0, 1, pc, clock, &lane, &pages, nset(&[1]), &[]);
+            assert_eq!(got, want, "drift {pc} diverged from a fresh scan");
+            assert_eq!(
+                (warm.hits, warm.slides, warm.misses),
+                (0, slides, misses),
+                "drift {pc}"
+            );
+        }
     }
 
     #[test]

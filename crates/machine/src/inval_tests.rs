@@ -159,7 +159,6 @@ fn prime_cursor(l: &mut FootprintLedger, flat: usize, node: usize, vpage: u64) {
         0,
         1,
         8,
-        8,
         || (single(node), Vec::new()),
         |pc| {
             if pc == 0 {

@@ -57,9 +57,9 @@
 //! Footprints are computed incrementally through the
 //! [`crate::fp_ledger::FootprintLedger`]: per-processor window cursors
 //! persist across picks and epochs — and *slide* forward when a
-//! watermark drifts within `rewatermark_tolerance` ops of the scanned
-//! window, paying O(drift) instead of a full rescan — and a
-//! generation-tagged `(node, vpage)` memo caches page contributions.
+//! watermark drifts but stays inside the scanned window, paying
+//! O(drift) instead of a full rescan — and a generation-tagged
+//! `(node, vpage)` memo caches page contributions.
 //! Both are invalidated precisely, by
 //! [`CursorInval`](crate::obs::CursorInval) events the execution layer
 //! emits at every transition that can change a page's destination set
@@ -113,6 +113,20 @@ use crate::sched::Sched;
 /// Maximum operations one scanned window may hold. Caps the scan cost
 /// per epoch and the amount of work a single straggler batch can hoard.
 const MAX_WINDOW: usize = 4096;
+
+/// Minimum simulated-cycle headroom (`bound - clock`) an epoch must
+/// have to be worth running. An epoch pays for shell swaps, channel
+/// round-trips and the merge regardless of how much work it admits;
+/// thinner epochs are rejected as `InsufficientParallelism`, which
+/// engages the scan backoff. A host wall-clock heuristic: a rejected
+/// epoch's picks run serially, so results are byte-identical at any
+/// value.
+const MIN_EPOCH_SPAN: u64 = 1024;
+
+/// Cap on the exponential scan backoff, in picks skipped between epoch
+/// attempts during conflict-heavy phases. A host wall-clock heuristic
+/// like [`MIN_EPOCH_SPAN`].
+const MAX_EPOCH_BACKOFF: u64 = 512;
 
 /// One processor's share of an epoch: its identity, the clock it was
 /// popped at (for requeueing untouched leftovers), and how many scanned
@@ -371,9 +385,9 @@ pub(crate) fn admit_epoch(
 /// an empty hazard set, group 0 is always admitted first, every group's
 /// footprint contains its own node, footprints only grow and the bound
 /// only falls as the scan continues. So a missing group 0, a bound
-/// already short of `min_span`, or a group 0 that already covers every
-/// other group's node each make the final rejection certain, with
-/// reason `InsufficientParallelism`. A non-empty hazard set never
+/// already short of [`MIN_EPOCH_SPAN`], or a group 0 that already
+/// covers every other group's node each make the final rejection
+/// certain, with reason `InsufficientParallelism`. A non-empty hazard set never
 /// rejects early: telling `RecoveryHazard` from
 /// `InsufficientParallelism` needs every group.
 pub(crate) fn attempt_doomed(
@@ -381,7 +395,6 @@ pub(crate) fn attempt_doomed(
     pending: NodeSet,
     b: u64,
     clock0: u64,
-    min_span: u64,
     hazard: NodeSet,
 ) -> bool {
     if !hazard.is_empty() {
@@ -390,7 +403,7 @@ pub(crate) fn attempt_doomed(
     let Some(fp0) = fp0 else {
         return true;
     };
-    b.saturating_sub(clock0) < min_span || pending.0 & !fp0.0 == 0
+    b.saturating_sub(clock0) < MIN_EPOCH_SPAN || pending.0 & !fp0.0 == 0
 }
 
 /// Buffers one `ParallelHeap` run reuses across epoch attempts, so a
@@ -477,13 +490,12 @@ impl Machine {
             // Exponential backoff on scan-based rejections: a failed
             // epoch attempt costs at least one window scan, so during a
             // conflict-heavy phase the loop skips `stride` picks before
-            // scanning again (doubling up to `cfg.max_epoch_backoff`),
+            // scanning again (doubling up to `MAX_EPOCH_BACKOFF`),
             // and re-arms the moment an epoch forms. Deterministic — it
             // depends only on the pick sequence — and invisible to the
             // simulation. Persistent cursors soften rejection cost (a
             // re-scan at an unchanged watermark is a ledger hit), so
             // the backoff now guards only genuinely churning phases.
-            let max_backoff = self.cfg.max_epoch_backoff;
             let (mut skip, mut stride) = (0u64, 1u64);
             while let Some((clock, flat)) = self.sched.pop_proc() {
                 if skip > 0 {
@@ -502,7 +514,7 @@ impl Machine {
                                 | ParallelFallbackReason::InsufficientParallelism
                         ) {
                             skip = stride;
-                            stride = (stride * 2).min(max_backoff);
+                            stride = (stride * 2).min(MAX_EPOCH_BACKOFF);
                         }
                         self.heap_step(trace, clock, flat);
                     }
@@ -685,7 +697,6 @@ impl Machine {
                     NodeSet(formed.0 | rest[i].0),
                     b,
                     clock0.as_u64(),
-                    self.cfg.min_epoch_span,
                     hazard,
                 )
             {
@@ -736,11 +747,11 @@ impl Machine {
         // An epoch is worth forming only when at least two groups run
         // concurrently, the popped processor is one of them (it must
         // make progress), and the bound leaves enough room to amortize
-        // the epoch's fixed cost (`cfg.min_epoch_span`).
+        // the epoch's fixed cost (`MIN_EPOCH_SPAN`).
         if admitted < 2
             || !flat0_grouped
             || !keep[0]
-            || b.saturating_sub(clock0.as_u64()) < self.cfg.min_epoch_span
+            || b.saturating_sub(clock0.as_u64()) < MIN_EPOCH_SPAN
         {
             for &(c, f) in popped.iter().skip(1) {
                 self.sched.wake(f, c);
@@ -794,9 +805,8 @@ impl Machine {
     /// request: whole at the exact `(node, pc, clock)` watermark
     /// (rejected epochs and backoff retries re-reach the same watermark
     /// constantly, so the common re-scan is O(1)), or incrementally
-    /// when the watermark drifted forward by at most
-    /// `cfg.rewatermark_tolerance` operations but stayed inside the
-    /// scanned window — the cursor *slides*: the executed prefix
+    /// when the watermark drifted forward but stayed inside the scanned
+    /// window — the cursor *slides*: the executed prefix
     /// retires, the suffix extends, and the request costs O(drift)
     /// instead of O(window). A fresh scan stores its result (with the
     /// `(node, vpage)` contributions it consumed as generation-tagged
@@ -834,7 +844,6 @@ impl Machine {
             clock.as_u64(),
             self.cfg.latency.l1_hit,
             MAX_WINDOW,
-            self.cfg.rewatermark_tolerance,
             || self.local_fill_closure(n),
             |pc| match lane.get(pc) {
                 None => ScanStep::End,
@@ -1197,7 +1206,6 @@ mod tests {
             nodeset(&[1, 2, 3]),
             u64::MAX,
             0,
-            1024,
             NodeSet::EMPTY
         ));
     }
@@ -1210,7 +1218,6 @@ mod tests {
             nodeset(&[1, 3]),
             u64::MAX,
             0,
-            1024,
             NodeSet::EMPTY
         ));
         // The same group with node 3 covered is doomed.
@@ -1219,7 +1226,6 @@ mod tests {
             nodeset(&[1, 3]),
             u64::MAX,
             0,
-            1024,
             NodeSet::EMPTY
         ));
     }
@@ -1230,17 +1236,15 @@ mod tests {
         assert!(!attempt_doomed(
             Some(fp0),
             pending,
-            5_000 + 1024,
+            5_000 + MIN_EPOCH_SPAN,
             5_000,
-            1024,
             NodeSet::EMPTY
         ));
         assert!(attempt_doomed(
             Some(fp0),
             pending,
-            5_000 + 1023,
+            5_000 + MIN_EPOCH_SPAN - 1,
             5_000,
-            1024,
             NodeSet::EMPTY
         ));
     }
@@ -1252,7 +1256,6 @@ mod tests {
             nodeset(&[1, 2]),
             u64::MAX,
             0,
-            1024,
             NodeSet::EMPTY
         ));
     }
@@ -1265,10 +1268,10 @@ mod tests {
         let hazard = nodeset(&[3]);
         for (fp0, b) in [
             (Some(nodeset(&[0, 1, 2, 3])), u64::MAX),
-            (Some(nodeset(&[0])), 1023),
+            (Some(nodeset(&[0])), MIN_EPOCH_SPAN - 1),
             (None, u64::MAX),
         ] {
-            assert!(!attempt_doomed(fp0, nodeset(&[1, 2]), b, 0, 1024, hazard));
+            assert!(!attempt_doomed(fp0, nodeset(&[1, 2]), b, 0, hazard));
         }
     }
 

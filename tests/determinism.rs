@@ -403,16 +403,15 @@ fn parallel_heap_rejects_doomed_attempts_after_one_scan() {
 /// Shared scaffolding for the newly epoch-eligible feature configs:
 /// one job spanning two nodes (it supplies the cross-node traffic the
 /// feature under test needs) plus two single-node jobs (they supply
-/// the disjoint groups epochs need). `min_epoch_span` is dropped to a
-/// few dozen cycles so thin epochs form even around the shared job's
-/// conflicts — byte-identity must hold at any knob value.
+/// the disjoint groups epochs need). The single-node jobs run long
+/// conflict-free stretches, so epochs clear the executor's minimum
+/// span even around the shared job's conflicts.
 fn feature_cfg(scheduler: SchedulerKind, workers: usize) -> MachineConfig {
     let mut cfg = MachineConfig::builder()
         .nodes(4)
         .procs_per_node(2)
         .l1_bytes(1024)
         .l2_bytes(4096)
-        .min_epoch_span(64)
         .build();
     cfg.scheduler = scheduler;
     cfg.worker_threads = workers;
